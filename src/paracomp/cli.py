@@ -8,52 +8,41 @@ tagger), rules-dump (inspect learned affix rules).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .config import MODES, build_config, parse_config_file
+from .config import MODES, Config, build_config, parse_config_file
 from .corpus_io import load_corpus
 from .pipeline import StageError, dump_pipeline_rules, run_pipeline
 from .synth import generate_language
 from .tagger import load_model, save_model, tag_corpus, train_hmm, write_tagged
 
-_CONFIG_FLOATS = (
-    "candidate_ratio",
-    "tree_support_factor",
-    "lemma_evidence_factor",
-    "lemma_decay",
-    "merge_threshold",
-)
-_CONFIG_INTS = (
-    "context_window",
-    "bootstrap_rounds",
-    "hmm_states",
-    "hmm_iterations",
-    "unk_threshold",
-    "seed",
-    "baseline_slots",
-    "shots",
-    "workers",
-)
+# Every Config field except mode is a flag; field types are strings
+# because config.py postpones annotations.
+_CONFIG_FLAGS = {
+    field.name: field.type for field in dataclasses.fields(Config)
+    if field.name != "mode"
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    for name in _CONFIG_FLOATS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
-    for name in _CONFIG_INTS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=None)
-    parser.add_argument(
-        "--baseline-truth",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="size the lemma baseline from the gold table",
-    )
+    for name, kind in _CONFIG_FLAGS.items():
+        flag = f"--{name.replace('_', '-')}"
+        if kind == "bool":
+            parser.add_argument(
+                flag, action=argparse.BooleanOptionalAction, default=None
+            )
+        else:
+            parser.add_argument(
+                flag, type={"int": int, "float": float}[kind], default=None
+            )
 
 
 def _config_from_args(args: argparse.Namespace, mode: str | None = None):
     file_values = parse_config_file(args.config) if args.config else None
     overrides = {}
-    for name in _CONFIG_FLOATS + _CONFIG_INTS + ("baseline_truth",):
+    for name in _CONFIG_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value

@@ -6,6 +6,9 @@ chain per sentence, and decoded with Viterbi.  The states carry no
 names; they only need to be consistent enough that words used the same
 way end up tagged the same way.
 
+Both algorithms run on batches of equal-length sentences, so the Python
+loop over time steps runs once per batch rather than once per sentence.
+
 Rare word types are collapsed into a single UNK symbol before
 training.  All randomness comes from one seeded generator, so training
 is reproducible.
@@ -20,6 +23,11 @@ import numpy as np
 from .corpus_io import Corpus
 
 _SAVE_VERSION = 1
+
+# Most tokens one batch of equal-length sentences may hold.  Training
+# keeps a few float arrays of batch tokens x states alive at once, so
+# this bounds the tagger's working memory whatever the corpus size.
+BATCH_TOKENS = 2048
 
 
 @dataclass
@@ -38,17 +46,31 @@ class HmmModel:
         return {symbol: i for i, symbol in enumerate(self.symbols)}
 
 
-def _encode(corpus: Corpus, index: dict[str, int], unk: int) -> list[np.ndarray]:
-    """Sentences as arrays of emission indices, OOV mapped to UNK."""
-    encoded = []
-    for start, end in corpus.sentences():
-        encoded.append(
-            np.array(
-                [index.get(token, unk) for token in corpus.tokens[start:end]],
-                dtype=np.intp,
-            )
-        )
-    return encoded
+def _batches(
+    corpus: Corpus, index: dict[str, int], unk: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sentences grouped by exact length, as (positions, symbols) pairs.
+
+    Both arrays of a pair are (N, L): N sentences of L tokens each,
+    ``positions`` holding corpus offsets and ``symbols`` the emission
+    indices, OOV mapped to UNK.  Equal lengths need no padding or
+    masking.  Each group is cut into batches of at most
+    ``BATCH_TOKENS`` tokens; a sentence longer than that is a batch of
+    its own.
+    """
+    codes = np.array([index.get(token, unk) for token in corpus.tokens], dtype=np.intp)
+    ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1]
+    lengths = ends - starts
+    batches = []
+    for length in np.unique(lengths):
+        firsts = starts[lengths == length]
+        rows = max(1, BATCH_TOKENS // int(length))
+        for i in range(0, firsts.shape[0], rows):
+            positions = firsts[i : i + rows, None] + np.arange(length)
+            batches.append((positions, codes[positions]))
+    return batches
 
 
 def train_hmm(
@@ -79,7 +101,7 @@ def train_hmm(
     index = {symbol: i for i, symbol in enumerate(symbols)}
     unk = len(symbols)
     width = unk + 1
-    sentences = _encode(corpus, index, unk)
+    batches = [obs for _, obs in _batches(corpus, index, unk)]
 
     rng = np.random.default_rng(seed)
     start = rng.dirichlet(np.ones(states))
@@ -90,37 +112,44 @@ def train_hmm(
     for _ in range(iterations):
         start_acc = np.zeros(states)
         trans_acc = np.zeros((states, states))
-        emit_acc_t = np.zeros((width, states))  # transposed for add.at
+        emit_acc_t = np.zeros((width, states))  # (symbol, state), as bincount fills it
         ll = 0.0
-        for obs in sentences:
-            length = obs.shape[0]
-            emit = emissions[:, obs]  # (K, T)
-            alpha = np.empty((length, states))
-            scale = np.empty(length)
+        for obs in batches:
+            rows, length = obs.shape
+            emit = emissions.T[obs]  # (N, L, K)
+            alpha = np.empty((rows, length, states))
+            scale = np.empty((rows, length))
             vec = start * emit[:, 0]
-            scale[0] = vec.sum()
-            alpha[0] = vec / scale[0]
+            scale[:, 0] = vec.sum(axis=1)
+            alpha[:, 0] = vec / scale[:, 0, None]
             for t in range(1, length):
-                vec = (alpha[t - 1] @ transitions) * emit[:, t]
-                scale[t] = vec.sum()
-                alpha[t] = vec / scale[t]
-            beta = np.empty((length, states))
-            beta[length - 1] = 1.0
+                vec = (alpha[:, t - 1] @ transitions) * emit[:, t]
+                scale[:, t] = vec.sum(axis=1)
+                alpha[:, t] = vec / scale[:, t, None]
+            beta = np.empty((rows, length, states))
+            beta[:, length - 1] = 1.0
             for t in range(length - 2, -1, -1):
-                beta[t] = (
-                    transitions @ (emit[:, t + 1] * beta[t + 1])
-                ) / scale[t + 1]
+                beta[:, t] = (
+                    (emit[:, t + 1] * beta[:, t + 1]) @ transitions.T
+                ) / scale[:, t + 1, None]
             gamma = alpha * beta
-            gamma /= gamma.sum(axis=1, keepdims=True)
+            gamma /= gamma.sum(axis=2, keepdims=True)
 
             ll += float(np.log(scale).sum())
-            start_acc += gamma[0]
-            np.add.at(emit_acc_t, obs, gamma)
+            start_acc += gamma[:, 0].sum(axis=0)
+            cells = obs[:, :, None] * states + np.arange(states)
+            emit_acc_t += np.bincount(
+                cells.ravel(), weights=gamma.ravel(), minlength=width * states
+            ).reshape(width, states)
             if length > 1:
                 # sum_t outer(alpha_t, emit_{t+1} * beta_{t+1} / c_{t+1}),
-                # masked by the transition matrix, is the xi total.
-                weighted = (emit[:, 1:] * beta[1:].T) / scale[1:]
-                trans_acc += (alpha[:-1].T @ weighted.T) * transitions
+                # masked by the transition matrix, is the xi total; one
+                # matmul sums it over every step of every sentence.
+                weighted = (emit[:, 1:] * beta[:, 1:]) / scale[:, 1:, None]
+                trans_acc += (
+                    alpha[:, :-1].reshape(-1, states).T
+                    @ weighted.reshape(-1, states)
+                ) * transitions
         log_likelihoods.append(ll)
 
         start = start_acc / start_acc.sum()
@@ -154,27 +183,28 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
         log_start = np.log(model.start)
         log_trans = np.log(model.transitions)
         log_emit = np.log(model.emissions)
-    uniform = np.full(states, -np.log(states))
     dead = ~np.isfinite(log_emit).any(axis=0)  # all-zero emission columns
+    log_emit[:, dead] = -np.log(states)
+    emit_t = log_emit.T  # (W+1, K)
 
-    tags: list[int] = []
-    for obs in _encode(corpus, index, unk):
-        length = obs.shape[0]
-        back = np.empty((length, states), dtype=np.intp)
-        col = uniform if dead[obs[0]] else log_emit[:, obs[0]]
-        delta = log_start + col
+    tags = np.empty(len(corpus), dtype=np.intp)
+    for positions, obs in _batches(corpus, index, unk):
+        rows, length = obs.shape
+        back = np.empty((rows, length, states), dtype=np.intp)
+        delta = log_start + emit_t[obs[:, 0]]
         for t in range(1, length):
-            scores = delta[:, None] + log_trans
-            back[t] = scores.argmax(axis=0)
-            col = uniform if dead[obs[t]] else log_emit[:, obs[t]]
-            delta = scores.max(axis=0) + col
-        state = int(delta.argmax())
-        path = [state]
+            scores = delta[:, :, None] + log_trans  # (N, previous, next)
+            back[:, t] = scores.argmax(axis=1)  # first maximum: lower state
+            delta = scores.max(axis=1) + emit_t[obs[:, t]]
+        state = delta.argmax(axis=1)
+        every = np.arange(rows)
+        path = np.empty((rows, length), dtype=np.intp)
+        path[:, length - 1] = state
         for t in range(length - 1, 0, -1):
-            state = int(back[t, state])
-            path.append(state)
-        tags.extend(reversed(path))
-    return tags
+            state = back[every, t, state]
+            path[:, t - 1] = state
+        tags[positions] = path
+    return tags.tolist()
 
 
 def save_model(model: HmmModel, path: str) -> None:

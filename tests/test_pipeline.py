@@ -1,8 +1,9 @@
+import dataclasses
 import filecmp
 
 import pytest
 
-from paracomp.cli import main
+from paracomp.cli import _config_from_args, build_parser, main
 from paracomp.config import Config, build_config, parse_config_file
 from paracomp.corpus_io import read_predictions
 from paracomp.pipeline import StageError, run_pipeline
@@ -46,6 +47,12 @@ class TestConfig:
             ({"context_window": 2}, "context_window"),
             ({"bootstrap_rounds": -1}, "bootstrap_rounds"),
             ({"hmm_states": 0}, "hmm_states"),
+            ({"hmm_states": 8, "context_window": 7},
+             r"hmm_states \*\* context_window"),
+            ({"hmm_states": 17, "context_window": 5},
+             r"hmm_states \*\* context_window"),
+            ({"hmm_states": 2, "context_window": 10**9 + 1},
+             r"hmm_states \*\* context_window"),
             ({"hmm_iterations": -1}, "hmm_iterations"),
             ({"unk_threshold": -1}, "unk_threshold"),
             ({"baseline_slots": 0}, "baseline_slots"),
@@ -56,6 +63,10 @@ class TestConfig:
     def test_validation_errors(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             Config(**kwargs).validate()
+
+    def test_slot_feature_cap_boundaries(self):
+        Config(hmm_states=16, context_window=5).validate()  # exactly 2**20
+        Config(hmm_states=1, context_window=10**9 + 1).validate()
 
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -433,6 +444,20 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stage 'load' failed")
+
+    def test_every_config_field_is_a_run_flag(self):
+        argv = ["run", "--mode", "lb"]
+        expected = {}
+        for field in dataclasses.fields(Config):
+            if field.name == "mode":
+                continue
+            flag = f"--{field.name.replace('_', '-')}"
+            value = {"float": 0.25, "int": 5, "bool": True}[field.type]
+            argv += [flag] if field.type == "bool" else [flag, str(value)]
+            expected[field.name] = value
+        config = _config_from_args(build_parser().parse_args(argv), mode="lb")
+        for name, value in expected.items():
+            assert getattr(config, name) == value != getattr(Config(), name)
 
     def test_bad_choices_exit_two(self):
         with pytest.raises(SystemExit) as info:

@@ -1,7 +1,13 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paracomp.corpus_io import load_corpus
+import tagger_oracle as oracle
+from paracomp import tagger
+from paracomp.corpus_io import Corpus, load_corpus
 from paracomp.tagger import (
     HmmModel,
     load_model,
@@ -95,6 +101,7 @@ def test_viterbi_ties_take_lowest_state(tmp_path):
         symbols=["a", "b"],
     )
     assert tag_corpus(model, corpus) == [0, 0, 0]
+    assert oracle.tag_corpus(model, corpus) == [0, 0, 0]
 
 
 def test_decoding_survives_unseen_symbol_columns(tmp_path):
@@ -108,6 +115,7 @@ def test_decoding_survives_unseen_symbol_columns(tmp_path):
     )
     tags = tag_corpus(model, corpus)
     assert tags == [0, 0, 0]
+    assert oracle.tag_corpus(model, corpus) == tags
 
 
 def test_tags_align_with_sentences(mini_corpus):
@@ -149,3 +157,133 @@ def test_write_tagged_format(tmp_path):
     assert out.read_text(encoding="utf-8") == "a\t1\nb\t0\n\nc\t2\n"
     with pytest.raises(ValueError, match="does not match"):
         write_tagged(corpus, [1, 0], str(out))
+
+
+# The batched tagger against the per-sentence loop in tagger_oracle.  The
+# batched sums run in another order, so the log-likelihoods and
+# parameters agree to rounding only; Viterbi uses the same arithmetic per
+# sentence, so tags from one model must match exactly.  The absolute
+# log-likelihood floor covers corpora whose likelihood is exactly 1
+# (every token UNK), where both versions read rounding noise near 0.
+LL_RTOL = 1e-8
+LL_ATOL = 1e-8
+PARAM_ATOL = 1e-12
+
+INTERLEAVED = (
+    "a b c\nd\na c e b d\nb b a\ne\n"
+    "c a b\na\nd e a b c\na a b\nd\n"
+)
+
+
+def assert_models_agree(batched, loop):
+    assert batched.symbols == loop.symbols
+    assert len(batched.log_likelihoods) == len(loop.log_likelihoods)
+    np.testing.assert_allclose(
+        batched.log_likelihoods, loop.log_likelihoods, rtol=LL_RTOL, atol=LL_ATOL
+    )
+    for name in ("start", "transitions", "emissions"):
+        np.testing.assert_allclose(
+            getattr(batched, name), getattr(loop, name), rtol=0, atol=PARAM_ATOL
+        )
+
+
+def assert_matches_oracle(corpus, **kwargs):
+    batched = train_hmm(corpus, **kwargs)
+    loop = oracle.train_hmm(corpus, **kwargs)
+    assert_models_agree(batched, loop)
+    for model in (batched, loop):
+        assert tag_corpus(model, corpus) == oracle.tag_corpus(model, corpus)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"states": 4, "iterations": 10, "seed": 0},
+        {"states": 1, "iterations": 5, "seed": 2},
+        {"states": 3, "iterations": 5, "seed": 1, "unk_threshold": 10**6},
+    ],
+    ids=["four-states", "one-state", "all-unk"],
+)
+def test_batched_training_matches_loop_on_mini_corpus(mini_corpus, kwargs):
+    assert_matches_oracle(mini_corpus, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"states": 3, "iterations": 8, "seed": 0},
+        {"states": 1, "iterations": 4, "seed": 0},
+        {"states": 2, "iterations": 4, "seed": 5, "unk_threshold": 100},
+    ],
+    ids=["three-states", "one-state", "all-unk"],
+)
+def test_batched_training_matches_loop_on_interleaved_lengths(tmp_path, kwargs):
+    # Lengths 3, 1, 5, 3, 1, ...: buckets interleave in corpus order.
+    corpus = corpus_from_text(tmp_path, INTERLEAVED)
+    assert_matches_oracle(corpus, **kwargs)
+
+
+def test_batched_viterbi_matches_loop_on_ties_and_dead_columns(tmp_path):
+    corpus = corpus_from_text(tmp_path, "b a b\nb\na b b a b\nb a b\na\n")
+    tied = HmmModel(
+        start=np.full(3, 1 / 3),
+        transitions=np.full((3, 3), 1 / 3),
+        emissions=np.full((3, 3), 1 / 3),
+        symbols=["a", "b"],
+    )
+    dead = HmmModel(
+        start=np.array([0.5, 0.5]),
+        transitions=np.array([[0.9, 0.1], [0.1, 0.9]]),
+        emissions=np.array([[0.7, 0.0, 0.3], [0.6, 0.0, 0.4]]),
+        symbols=["a", "b"],
+    )
+    assert tag_corpus(tied, corpus) == oracle.tag_corpus(tied, corpus) == [0] * 13
+    assert tag_corpus(dead, corpus) == oracle.tag_corpus(dead, corpus)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7])
+def test_batches_split_across_chunks_agree(tmp_path, monkeypatch, budget):
+    corpus = corpus_from_text(tmp_path, INTERLEAVED * 3)
+    whole = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
+    whole_tags = tag_corpus(whole, corpus)
+    assert len(tagger._batches(corpus, {}, 0)) == 3  # one per length
+
+    monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
+    assert len(tagger._batches(corpus, {}, 0)) > 3
+    split = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
+    assert_models_agree(split, whole)
+    assert tag_corpus(whole, corpus) == whole_tags
+    assert tag_corpus(split, corpus) == whole_tags
+
+
+@st.composite
+def short_corpora(draw):
+    sentences = draw(
+        st.lists(
+            st.lists(st.sampled_from("abcde"), min_size=1, max_size=6),
+            min_size=1,
+            max_size=8,
+        ).filter(lambda s: sum(map(len, s)) >= 2)
+    )
+    tokens = [token for sentence in sentences for token in sentence]
+    return Corpus(tokens, list(accumulate(map(len, sentences))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=short_corpora(),
+    states=st.integers(1, 4),
+    iterations=st.integers(0, 4),
+    seed=st.integers(0, 3),
+    unk_threshold=st.integers(1, 4),
+)
+def test_batched_tagger_matches_loop_on_random_corpora(
+    corpus, states, iterations, seed, unk_threshold
+):
+    assert_matches_oracle(
+        corpus,
+        states=states,
+        iterations=iterations,
+        seed=seed,
+        unk_threshold=unk_threshold,
+    )
