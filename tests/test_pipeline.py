@@ -47,12 +47,6 @@ class TestConfig:
             ({"context_window": 2}, "context_window"),
             ({"bootstrap_rounds": -1}, "bootstrap_rounds"),
             ({"hmm_states": 0}, "hmm_states"),
-            ({"hmm_states": 8, "context_window": 7},
-             r"hmm_states \*\* context_window"),
-            ({"hmm_states": 17, "context_window": 5},
-             r"hmm_states \*\* context_window"),
-            ({"hmm_states": 2, "context_window": 10**9 + 1},
-             r"hmm_states \*\* context_window"),
             ({"hmm_iterations": -1}, "hmm_iterations"),
             ({"unk_threshold": -1}, "unk_threshold"),
             ({"baseline_slots": 0}, "baseline_slots"),
@@ -62,6 +56,18 @@ class TestConfig:
     )
     def test_validation_errors(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
+            Config(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"hmm_states": 8, "context_window": 7},
+            {"hmm_states": 17, "context_window": 5},
+            {"hmm_states": 2, "context_window": 10**9 + 1},
+        ],
+    )
+    def test_slot_feature_cap_errors(self, kwargs):
+        with pytest.raises(ValueError, match=r"hmm_states \*\* context_window"):
             Config(**kwargs).validate()
 
     def test_slot_feature_cap_boundaries(self):
