@@ -35,7 +35,6 @@ from .edit_tree import (
     Replace,
     apply,
     construct,
-    lcs_length,
     longest_common_substring,
     to_sexpr,
 )

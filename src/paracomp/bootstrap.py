@@ -68,7 +68,6 @@ def bootstrap(
     lemma_evidence_factor: float,
     lemma_decay: float,
     rounds: int,
-    workers: int = 1,
 ) -> BootstrapResult:
     """Candidate search plus ``rounds`` rounds of lemma retrieval.
 
@@ -79,7 +78,7 @@ def bootstrap(
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    candidates = find_candidates(lexicon, vocab, candidate_ratio, workers=workers)
+    candidates = find_candidates(lexicon, vocab, candidate_ratio)
     trees, census = retain_frequent_trees(candidates, lexicon, tree_support_factor)
     for _ in range(rounds):
         if not trees:
@@ -90,9 +89,7 @@ def bootstrap(
         lexicon = lexicon.add_discovered(
             new, lexicon.max_iteration() + 1, lemma_decay
         )
-        candidates = find_candidates(
-            lexicon, vocab, candidate_ratio, workers=workers
-        )
+        candidates = find_candidates(lexicon, vocab, candidate_ratio)
         trees, census = retain_frequent_trees(
             candidates, lexicon, tree_support_factor
         )

@@ -8,7 +8,6 @@ values which override defaults.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 MODES = (
@@ -44,7 +43,6 @@ class Config:
     baseline_slots: int = 48
     baseline_truth: bool = False
     shots: int = 1
-    workers: int = 0  # 0 = one per CPU
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -92,13 +90,6 @@ class Config:
             raise ValueError("baseline_slots must be >= 1")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-
-    def resolved_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        return os.cpu_count() or 1
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}

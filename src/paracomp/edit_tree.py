@@ -74,29 +74,6 @@ def longest_common_substring(x: str, y: str) -> tuple[int, int, int]:
     return best_len, best_x, best_y
 
 
-def lcs_length(x: str, y: str) -> int:
-    """Length of the longest common substring, without offsets."""
-    if len(x) > len(y):
-        x, y = y, x
-    if not x:
-        return 0
-    best = 0
-    n = len(x)
-    prev = [0] * (n + 1)
-    cur = [0] * (n + 1)
-    for cy in y:
-        for i in range(n):
-            if x[i] == cy:
-                v = prev[i] + 1
-                cur[i + 1] = v
-                if v > best:
-                    best = v
-            else:
-                cur[i + 1] = 0
-        prev, cur = cur, prev
-    return best
-
-
 def construct(source: str, target: str) -> EditTree:
     """Build the edit tree that rewrites ``source`` into ``target``."""
     length, sx, sy = longest_common_substring(source, target)

@@ -171,7 +171,6 @@ def run_pipeline(
                 lemma_evidence_factor=config.lemma_evidence_factor,
                 lemma_decay=config.lemma_decay,
                 rounds=rounds,
-                workers=config.resolved_workers(),
             )
             result.trees = boot.trees
             result.lexicon = boot.lexicon

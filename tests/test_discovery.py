@@ -1,16 +1,19 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paracomp.corpus_io import Vocabulary
+import discovery_oracle as oracle
+from paracomp.corpus_io import Vocabulary, load_corpus
 from paracomp.discovery import (
-    dump_census,
     find_candidates,
     min_tree_support,
     retain_frequent_trees,
 )
 from paracomp.edit_tree import IDENTITY, Match, Replace, to_sexpr
 from paracomp.lexicon import WeightedLexicon
+from paracomp.synth import generate_language
 
 APPEND_ED = Match(0, 0, Replace("", ""), Replace("", "ed"))
 
@@ -66,15 +69,67 @@ def test_find_candidates_rejects_empty_lemma():
         find_candidates(Fake(), vocab_of("walk"), 0.5)
 
 
-def test_find_candidates_worker_pool_matches_serial(monkeypatch):
-    words = [f"w{i:03d}x" for i in range(40)] + ["walk", "walked", "work"]
-    vocab = vocab_of(*words)
-    lexicon = WeightedLexicon.from_lemmas(["walk", "work", "w001x"])
-    serial = find_candidates(lexicon, vocab, 0.5, workers=1)
-    monkeypatch.setattr("paracomp.discovery.PARALLEL_MIN_PAIRS", 0)
-    parallel = find_candidates(lexicon, vocab, 0.5, workers=2)
-    assert parallel == serial
-    assert list(parallel) == list(serial)  # lexicon order preserved
+#: A small language and one the size of the sparse-seed benchmark workload.
+LANGUAGES = {
+    "small": dict(slots=3, lemmas=8, classes=2, tokens=600, seed=4),
+    "sparse-seed": dict(slots=6, lemmas=200, classes=3, tokens=5000, seed=7),
+}
+RATIOS = (0.0, 0.3, 0.5, 0.75, 0.9)
+
+
+@pytest.fixture(scope="module", params=sorted(LANGUAGES))
+def language(request, tmp_path_factory):
+    lang = generate_language(**LANGUAGES[request.param])
+    corpus_path, _, _ = lang.write(str(tmp_path_factory.mktemp(request.param)))
+    _, vocab = load_corpus(corpus_path)
+    return WeightedLexicon.from_lemmas(lang.lexicon), vocab
+
+
+def assert_same_candidates(found, expected):
+    # Same keys in the same order, and each list in the same order.
+    assert list(found.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_find_candidates_matches_scan_oracle(language, ratio):
+    lexicon, vocab = language
+    assert_same_candidates(
+        find_candidates(lexicon, vocab, ratio),
+        oracle.find_candidates(lexicon, vocab, ratio),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lemmas=st.lists(
+        st.text(alphabet="abcçé", min_size=1, max_size=8),
+        min_size=1, max_size=6, unique=True,
+    ),
+    words=st.lists(st.text(alphabet="abcçéß", min_size=1, max_size=8), max_size=25),
+    ratio=st.one_of(
+        # 0.125, 0.25, 0.5 and 0.75 make need an exact integer for lemma
+        # lengths 4 and 8, where > and >= part ways.
+        st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    ),
+)
+def test_find_candidates_matches_scan_oracle_property(lemmas, words, ratio):
+    lexicon = WeightedLexicon.from_lemmas(lemmas)
+    vocab = vocab_of(*words, *lemmas[::2])
+    assert_same_candidates(
+        find_candidates(lexicon, vocab, ratio),
+        oracle.find_candidates(lexicon, vocab, ratio),
+    )
+
+
+def test_find_candidates_gram_length_follows_need():
+    # At 0.9, need is 0.9 for "a" (grams of length 1) and 1.8 for "ab"
+    # (grams of length 2, so "ba" shares too little).
+    lexicon = WeightedLexicon.from_lemmas(["a", "ab"])
+    assert find_candidates(lexicon, vocab_of("a", "ba", "b", "xab"), 0.9) == {
+        "a": ["a", "ba", "xab"],
+        "ab": ["xab"],
+    }
 
 
 def test_retain_frequent_trees_toy():
@@ -124,16 +179,3 @@ def test_retained_trees_ordered_by_weight_then_serialization():
     assert trees == [IDENTITY, APPEND_ED]
     ident_first = to_sexpr(trees[0]) < to_sexpr(trees[1])
     assert ident_first  # also holds lexicographically here
-
-
-def test_dump_census(tmp_path):
-    vocab = vocab_of("walk", "work", "walked", "worked")
-    lexicon = WeightedLexicon.from_lemmas(["walk", "work"])
-    _, census = retain_frequent_trees(
-        find_candidates(lexicon, vocab, 0.5), lexicon, 0.05
-    )
-    out = tmp_path / "census.tsv"
-    dump_census(census, str(out))
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == '(match 0 0 (rep "" "") (rep "" ""))\t2\t2'
-    assert len(lines) == len(census.weights)

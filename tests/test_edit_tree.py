@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discovery_oracle import lcs_length
 from paracomp.edit_tree import (
     IDENTITY,
     Match,
     Replace,
     apply,
     construct,
-    lcs_length,
     longest_common_substring,
     to_sexpr,
 )

@@ -33,10 +33,6 @@ class TestConfig:
         assert config.baseline_slots == 48
         assert config.bootstrap_rounds == 1
 
-    def test_resolved_workers(self):
-        assert Config(workers=3).resolved_workers() == 3
-        assert Config(workers=0).resolved_workers() >= 1
-
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -51,7 +47,6 @@ class TestConfig:
             ({"unk_threshold": -1}, "unk_threshold"),
             ({"baseline_slots": 0}, "baseline_slots"),
             ({"shots": 0}, "shots"),
-            ({"workers": -1}, "workers"),
         ],
     )
     def test_validation_errors(self, kwargs, message):
@@ -110,6 +105,13 @@ class TestConfig:
         no_equals.write_text("just some words\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_config_file(str(no_equals))
+
+    def test_parse_config_file_rejects_workers(self, tmp_path):
+        # A stale workers line must fail loudly, not be silently ignored.
+        path = tmp_path / "workers.cfg"
+        path.write_text("seed = 1\nworkers = 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: unknown key 'workers'"):
+            parse_config_file(str(path))
 
     def test_build_config_precedence(self):
         config = build_config(
