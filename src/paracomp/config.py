@@ -53,10 +53,15 @@ class Config:
             raise ValueError(
                 f"candidate_ratio must be in [0, 1), got {self.candidate_ratio}"
             )
-        if self.tree_support_factor < 0:
-            raise ValueError("tree_support_factor must be >= 0")
-        if self.lemma_evidence_factor < 0:
-            raise ValueError("lemma_evidence_factor must be >= 0")
+        # Written as "not >= 0" so that NaN fails the check too.
+        if not self.tree_support_factor >= 0:
+            raise ValueError(
+                f"tree_support_factor must be >= 0, got {self.tree_support_factor}"
+            )
+        if not self.lemma_evidence_factor >= 0:
+            raise ValueError(
+                f"lemma_evidence_factor must be >= 0, got {self.lemma_evidence_factor}"
+            )
         if not 0.0 < self.lemma_decay <= 1.0:
             raise ValueError(
                 f"lemma_decay must be in (0, 1], got {self.lemma_decay}"

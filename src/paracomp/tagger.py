@@ -6,8 +6,11 @@ chain per sentence, and decoded with Viterbi.  The states carry no
 names; they only need to be consistent enough that words used the same
 way end up tagged the same way.
 
-Both algorithms run on batches of equal-length sentences, so the Python
-loop over time steps runs once per batch rather than once per sentence.
+Both algorithms run on bands of sentences padded to a common length,
+so the Python loop over time steps runs once per band rather than once
+per sentence.  A boolean mask marks the real tokens of a band whose
+sentences differ in length; padded steps leave the recursions unchanged
+and add nothing to the sums.
 
 Rare word types are collapsed into a single UNK symbol before
 training.  All randomness comes from one seeded generator, so training
@@ -24,9 +27,10 @@ from .corpus_io import Corpus
 
 _SAVE_VERSION = 1
 
-# Most tokens one batch of equal-length sentences may hold.  Training
-# keeps a few float arrays of batch tokens x states alive at once, so
-# this bounds the tagger's working memory whatever the corpus size.
+# Most padded tokens (rows x longest sentence) one band may hold.
+# Training keeps a few float arrays of band tokens x states alive at
+# once, so this bounds the tagger's working memory whatever the corpus
+# size.
 BATCH_TOKENS = 2048
 
 
@@ -48,28 +52,46 @@ class HmmModel:
 
 def _batches(
     corpus: Corpus, index: dict[str, int], unk: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sentences grouped by exact length, as (positions, symbols) pairs.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Sentences padded into length bands, as (positions, symbols, mask).
 
-    Both arrays of a pair are (N, L): N sentences of L tokens each,
-    ``positions`` holding corpus offsets and ``symbols`` the emission
-    indices, OOV mapped to UNK.  Equal lengths need no padding or
-    masking.  Each group is cut into batches of at most
-    ``BATCH_TOKENS`` tokens; a sentence longer than that is a batch of
-    its own.
+    The sentences are sorted by length, stably so that equal lengths
+    keep corpus order, and packed greedily into bands of at most
+    ``BATCH_TOKENS`` padded tokens (rows x longest); a sentence longer
+    than that is a band of its own.  The rows of a band therefore
+    ascend in length, which ``train_hmm`` relies on.
+
+    ``positions`` and ``symbols`` are (N, L): corpus offsets and
+    emission indices, OOV mapped to UNK.  ``mask`` is (N, L), true at
+    real tokens, or None when every sentence of the band has length L.
+    Padded cells repeat the sentence's last position and symbol, so
+    both arrays stay valid indices; ``positions[mask]`` lists each
+    corpus offset once.
     """
     codes = np.array([index.get(token, unk) for token in corpus.tokens], dtype=np.intp)
     ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1]
+    order = np.argsort(ends - starts, kind="stable")
+    starts, ends = starts[order], ends[order]
     lengths = ends - starts
+    count = lengths.shape[0]
     batches = []
-    for length in np.unique(lengths):
-        firsts = starts[lengths == length]
-        rows = max(1, BATCH_TOKENS // int(length))
-        for i in range(0, firsts.shape[0], rows):
-            positions = firsts[i : i + rows, None] + np.arange(length)
-            batches.append((positions, codes[positions]))
+    first = 0
+    while first < count:
+        # Padded size of the band holding sentences first .. first+r-1,
+        # for every r that could fit; lengths ascend, so it only grows.
+        rows = np.arange(1, min(count - first, BATCH_TOKENS) + 1)
+        padded = rows * lengths[first : first + rows.shape[0]]
+        last = first + max(1, int(np.count_nonzero(padded <= BATCH_TOKENS)))
+        length = int(lengths[last - 1])
+        positions = starts[first:last, None] + np.arange(length)
+        mask = None
+        if lengths[first] != length:
+            mask = positions < ends[first:last, None]
+            positions = np.minimum(positions, ends[first:last, None] - 1)
+        batches.append((positions, codes[positions], mask))
+        first = last
     return batches
 
 
@@ -101,7 +123,7 @@ def train_hmm(
     index = {symbol: i for i, symbol in enumerate(symbols)}
     unk = len(symbols)
     width = unk + 1
-    batches = [obs for _, obs in _batches(corpus, index, unk)]
+    batches = [(obs, mask) for _, obs, mask in _batches(corpus, index, unk)]
 
     rng = np.random.default_rng(seed)
     start = rng.dirichlet(np.ones(states))
@@ -114,9 +136,14 @@ def train_hmm(
         trans_acc = np.zeros((states, states))
         emit_acc_t = np.zeros((width, states))  # (symbol, state), as bincount fills it
         ll = 0.0
-        for obs in batches:
+        for obs, mask in batches:
             rows, length = obs.shape
             emit = emissions.T[obs]  # (N, L, K)
+            if mask is not None:
+                emit[~mask] = 1.0  # padded steps: alpha moves on, scale stays 1
+                # Rows ascend in length, so at step t the first
+                # finished[t] sentences have already ended.
+                finished = rows - np.count_nonzero(mask, axis=0)
             alpha = np.empty((rows, length, states))
             scale = np.empty((rows, length))
             vec = start * emit[:, 0]
@@ -132,10 +159,17 @@ def train_hmm(
                 beta[:, t] = (
                     (emit[:, t + 1] * beta[:, t + 1]) @ transitions.T
                 ) / scale[:, t + 1, None]
+                if mask is not None:
+                    # A sentence ends at its last real step: beta is 1 there.
+                    beta[: finished[t + 1], t] = 1.0
             gamma = alpha * beta
             gamma /= gamma.sum(axis=2, keepdims=True)
+            log_scale = np.log(scale)
+            if mask is not None:
+                gamma[~mask] = 0.0
+                log_scale[~mask] = 0.0
 
-            ll += float(np.log(scale).sum())
+            ll += float(log_scale.sum())
             start_acc += gamma[:, 0].sum(axis=0)
             cells = obs[:, :, None] * states + np.arange(states)
             emit_acc_t += np.bincount(
@@ -146,6 +180,8 @@ def train_hmm(
                 # masked by the transition matrix, is the xi total; one
                 # matmul sums it over every step of every sentence.
                 weighted = (emit[:, 1:] * beta[:, 1:]) / scale[:, 1:, None]
+                if mask is not None:
+                    weighted[~mask[:, 1:]] = 0.0  # no step into padding
                 trans_acc += (
                     alpha[:, :-1].reshape(-1, states).T
                     @ weighted.reshape(-1, states)
@@ -188,22 +224,28 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     emit_t = log_emit.T  # (W+1, K)
 
     tags = np.empty(len(corpus), dtype=np.intp)
-    for positions, obs in _batches(corpus, index, unk):
+    for positions, obs, mask in _batches(corpus, index, unk):
         rows, length = obs.shape
         back = np.empty((rows, length, states), dtype=np.intp)
         delta = log_start + emit_t[obs[:, 0]]
         for t in range(1, length):
             scores = delta[:, :, None] + log_trans  # (N, previous, next)
             back[:, t] = scores.argmax(axis=1)  # first maximum: lower state
-            delta = scores.max(axis=1) + emit_t[obs[:, t]]
+            step = scores.max(axis=1) + emit_t[obs[:, t]]
+            # Past a sentence's end its delta stays as the end left it.
+            delta = step if mask is None else np.where(mask[:, t, None], step, delta)
         state = delta.argmax(axis=1)
         every = np.arange(rows)
         path = np.empty((rows, length), dtype=np.intp)
         path[:, length - 1] = state
         for t in range(length - 1, 0, -1):
-            state = back[every, t, state]
+            step = back[every, t, state]
+            state = step if mask is None else np.where(mask[:, t], step, state)
             path[:, t - 1] = state
-        tags[positions] = path
+        if mask is None:
+            tags[positions] = path
+        else:
+            tags[positions[mask]] = path[mask]
     return tags.tolist()
 
 

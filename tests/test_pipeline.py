@@ -65,6 +65,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"hmm_states \*\* context_window"):
             Config(**kwargs).validate()
 
+    @pytest.mark.parametrize(
+        "name", ["tree_support_factor", "lemma_evidence_factor"]
+    )
+    @pytest.mark.parametrize("value", [-0.5, float("nan")])
+    def test_factor_errors(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got {value}"):
+            Config(**{name: value}).validate()
+        Config(**{name: 0.0}).validate()
+
     def test_slot_feature_cap_boundaries(self):
         Config(hmm_states=16, context_window=5).validate()  # exactly 2**20
         Config(hmm_states=1, context_window=10**9 + 1).validate()

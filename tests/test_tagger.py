@@ -1,4 +1,6 @@
+import random
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,7 +220,7 @@ def test_batched_training_matches_loop_on_mini_corpus(mini_corpus, kwargs):
     ids=["three-states", "one-state", "all-unk"],
 )
 def test_batched_training_matches_loop_on_interleaved_lengths(tmp_path, kwargs):
-    # Lengths 3, 1, 5, 3, 1, ...: buckets interleave in corpus order.
+    # Lengths 3, 1, 5, 3, 1, ...: one band mixes them out of corpus order.
     corpus = corpus_from_text(tmp_path, INTERLEAVED)
     assert_matches_oracle(corpus, **kwargs)
 
@@ -246,21 +248,126 @@ def test_batches_split_across_chunks_agree(tmp_path, monkeypatch, budget):
     corpus = corpus_from_text(tmp_path, INTERLEAVED * 3)
     whole = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
     whole_tags = tag_corpus(whole, corpus)
-    assert len(tagger._batches(corpus, {}, 0)) == 3  # one per length
+    assert len(tagger._batches(corpus, {}, 0)) == 1  # one padded band
 
     monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
-    assert len(tagger._batches(corpus, {}, 0)) > 3
+    assert len(tagger._batches(corpus, {}, 0)) > 1
     split = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
     assert_models_agree(split, whole)
     assert tag_corpus(whole, corpus) == whole_tags
     assert tag_corpus(split, corpus) == whole_tags
 
 
+def clause_corpus(seed=7, tokens=2000):
+    """Sentences of 1-12 three-token clauses, as in a long-sentence corpus.
+
+    Lengths are the multiples of 3 from 3 to 36, mixed in corpus order,
+    with a few rare words so that UNK occurs.
+    """
+    rng = random.Random(seed)
+    sentences = []
+    while sum(map(len, sentences)) < tokens:
+        sentence = []
+        for _ in range(rng.randint(1, 12)):
+            word = rng.choice(["cat", "dog", "owl", "elk"]) + rng.choice(["", "s", "ed"])
+            if rng.random() < 0.02:
+                word += str(rng.randrange(1000))
+            sentence += [rng.choice(["xa", "xe", "xi"]), word, "we"]
+        sentences.append(sentence)
+    tokens = [token for sentence in sentences for token in sentence]
+    return Corpus(tokens, list(accumulate(map(len, sentences))))
+
+
+def test_clause_corpus_has_every_length():
+    corpus = clause_corpus()
+    lengths = np.diff([0, *corpus.sentence_boundaries])
+    assert set(lengths) == set(range(3, 37, 3))
+    assert 2000 <= len(corpus) < 2036
+
+
+@pytest.mark.parametrize("budget", [None, 20], ids=["default-budget", "below-longest"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"states": 4, "iterations": 6, "seed": 0},
+        {"states": 1, "iterations": 3, "seed": 1},
+        {"states": 3, "iterations": 4, "seed": 2, "unk_threshold": 10**6},
+    ],
+    ids=["four-states", "one-state", "all-unk"],
+)
+def test_batched_training_matches_loop_on_ragged_bands(monkeypatch, budget, kwargs):
+    if budget is not None:
+        monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
+    assert_matches_oracle(clause_corpus(), **kwargs)
+
+
+def assert_bands_partition(corpus, budget):
+    """Check ``_batches`` against its contract at one token budget."""
+    index = {"a": 0, "b": 1, "cat": 2, "we": 3}
+    unk = len(index)
+    ends = np.array(corpus.sentence_boundaries)
+    starts = np.concatenate([[0], ends[:-1]])
+    order = np.argsort(ends - starts, kind="stable")
+    starts, lengths = starts[order], (ends - starts)[order]
+    codes = np.array([index.get(token, unk) for token in corpus.tokens])
+    with mock.patch.object(tagger, "BATCH_TOKENS", budget):
+        bands = tagger._batches(corpus, index, unk)
+
+    seen = []
+    taken = 0
+    for positions, symbols, mask in bands:
+        rows, length = positions.shape
+        # Stable sort by length, then greedy: no band could take the next one.
+        assert positions[:, 0].tolist() == starts[taken : taken + rows].tolist()
+        band_lengths = lengths[taken : taken + rows]
+        taken += rows
+        assert length == band_lengths.max()
+        assert rows * length <= budget or rows == 1
+        if taken < len(lengths):
+            assert (rows + 1) * lengths[taken] > budget
+        if mask is None:
+            assert (band_lengths == length).all()
+            mask = np.ones_like(positions, dtype=bool)
+        else:
+            assert (band_lengths < length).any()
+        assert mask.sum(axis=1).tolist() == band_lengths.tolist()
+        assert (mask[:, :-1] >= mask[:, 1:]).all()  # real tokens first
+        assert (np.diff(positions, axis=1)[mask[:, 1:]] == 1).all()
+        assert ((0 <= positions) & (positions < len(corpus))).all()
+        assert symbols.tolist() == codes[positions].tolist()
+        seen += positions[mask].tolist()
+    assert taken == len(lengths)
+    assert sorted(seen) == list(range(len(corpus)))
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 20, 64, 2048])
+def test_bands_cover_every_position_once(tmp_path, budget):
+    assert_bands_partition(clause_corpus(), budget)
+    assert_bands_partition(corpus_from_text(tmp_path, INTERLEAVED * 3), budget)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 64, 2048])
+def test_uniform_lengths_give_unmasked_length_groups(budget):
+    sentences = 50
+    corpus = Corpus(["a", "b", "cat"] * sentences, list(range(3, 3 * sentences + 1, 3)))
+    with mock.patch.object(tagger, "BATCH_TOKENS", budget):
+        bands = tagger._batches(corpus, {"a": 0, "b": 1}, 2)
+    # The exact-length grouping: corpus order, budget // length rows a batch.
+    rows = max(1, budget // 3)
+    firsts = np.arange(0, 3 * sentences, 3)
+    assert len(bands) == -(-sentences // rows)
+    for i, (positions, symbols, mask) in enumerate(bands):
+        assert mask is None
+        chunk = firsts[i * rows : (i + 1) * rows, None] + np.arange(3)
+        assert positions.tolist() == chunk.tolist()
+        assert symbols.tolist() == [[0, 1, 2]] * chunk.shape[0]
+
+
 @st.composite
-def short_corpora(draw):
+def random_corpora(draw):
     sentences = draw(
         st.lists(
-            st.lists(st.sampled_from("abcde"), min_size=1, max_size=6),
+            st.lists(st.sampled_from("abcde"), min_size=1, max_size=40),
             min_size=1,
             max_size=8,
         ).filter(lambda s: sum(map(len, s)) >= 2)
@@ -271,19 +378,22 @@ def short_corpora(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    corpus=short_corpora(),
+    corpus=random_corpora(),
     states=st.integers(1, 4),
     iterations=st.integers(0, 4),
     seed=st.integers(0, 3),
     unk_threshold=st.integers(1, 4),
+    budget=st.sampled_from([1, 2, 7, 64, 2048]),
 )
 def test_batched_tagger_matches_loop_on_random_corpora(
-    corpus, states, iterations, seed, unk_threshold
+    corpus, states, iterations, seed, unk_threshold, budget
 ):
-    assert_matches_oracle(
-        corpus,
-        states=states,
-        iterations=iterations,
-        seed=seed,
-        unk_threshold=unk_threshold,
-    )
+    # mock.patch.object, since Hypothesis rejects function-scoped fixtures.
+    with mock.patch.object(tagger, "BATCH_TOKENS", budget):
+        assert_matches_oracle(
+            corpus,
+            states=states,
+            iterations=iterations,
+            seed=seed,
+            unk_threshold=unk_threshold,
+        )
