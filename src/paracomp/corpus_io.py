@@ -82,7 +82,9 @@ def load_lexicon(path: str) -> list[str]:
     """Read a lemma list, one lemma per line.
 
     Duplicates keep their first occurrence, blank lines are skipped,
-    and an empty result is an error.
+    and an empty result is an error.  A lemma containing whitespace is
+    an error too: it could never match a whitespace-split corpus token,
+    and its row in the predictions would not read back.
     """
     lemmas: list[str] = []
     seen: set[str] = set()
@@ -97,6 +99,10 @@ def load_lexicon(path: str) -> list[str]:
             lemma = line.strip().lower()
             if not lemma:
                 continue
+            if len(lemma.split()) > 1:
+                raise ValueError(
+                    f"{path}: line {lineno}: lemma {lemma!r} contains whitespace"
+                )
             if lemma in seen:
                 continue
             seen.add(lemma)

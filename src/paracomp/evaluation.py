@@ -6,6 +6,12 @@ reads accuracy off the matched pairs.  Slots that are identical across
 every lemma (syncretic columns) are collapsed on each side
 independently before any matching, so neither side is rewarded or
 punished for how it counts indistinguishable columns.
+
+The matching is solved in pure Python with the shortest augmenting path
+algorithm for rectangular assignment (Crouse 2016, "On implementing 2D
+rectangular assignment algorithms", IEEE TAES), the algorithm behind
+``scipy.optimize.linear_sum_assignment``, with the same tie rules, so it
+returns the same assignment without importing scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 #: Column count of the fixed-size lemma baseline.
 DEFAULT_BASELINE_SLOTS = 48
@@ -44,11 +49,97 @@ def merge_syncretic_slots(table: dict) -> dict:
     }
 
 
-def _assignment_value(weights: np.ndarray) -> float:
-    if weights.shape[0] == 0 or weights.shape[1] == 0:
+def _assignment(weights: list[list[float]]) -> list[tuple[int, int]]:
+    """Max-weight assignment of a non-empty matrix as (row, column) pairs.
+
+    Returns min(N, M) pairs sorted by row, the same assignment that
+    ``linear_sum_assignment(weights, maximize=True)`` returns: costs are
+    negated weights, a tall matrix is solved transposed, remaining
+    columns are scanned in reverse order, and among equal path costs a
+    free column is preferred.
+    """
+    transpose = len(weights[0]) < len(weights)
+    if transpose:
+        cost = [[-x for x in column] for column in zip(*weights)]
+    else:
+        cost = [[-x for x in row] for row in weights]
+    n_rows, n_cols = len(cost), len(cost[0])
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur in range(n_rows):
+        # Dijkstra-style search for the shortest augmenting path from cur.
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows: list[int] = []
+        seen_cols: list[int] = []
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            seen_rows.append(i)
+            row_cost = cost[i]
+            u_i = u[i]
+            index = -1
+            lowest = math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row_cost[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Update the duals of the visited rows and columns, then flip the
+        # matched and unmatched edges along the path.
+        u[cur] += min_val
+        for i in seen_rows:
+            if i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        return sorted((row, col) for col, row in enumerate(col4row))
+    return list(enumerate(col4row))
+
+
+def _assignment_value(
+    w: np.ndarray, table: list[list[float]], rows: list[int], cols: list[int]
+) -> float:
+    """Optimal value of ``w[np.ix_(rows, cols)]``; ``table`` is ``w.tolist()``.
+
+    The matched weights are summed by numpy in row order, exactly as
+    ``w[rows, cols].sum()`` over a ``linear_sum_assignment`` result.
+    """
+    if not rows or not cols:
         return 0.0
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    return float(weights[rows, cols].sum())
+    pairs = _assignment([[table[r][c] for c in cols] for r in rows])
+    return float(w[[rows[i] for i, _ in pairs], [cols[j] for _, j in pairs]].sum())
+
+
+#: Relative slack on the pruning bound of ``best_match``.  A computed sum
+#: of n non-negative terms is off by at most n * 2**-53 relative, so a
+#: column's computed value never exceeds its bound times 1 + BOUND_SLACK.
+BOUND_SLACK = 1e-9
 
 
 def best_match(weights) -> list[tuple[int, int]]:
@@ -60,8 +151,16 @@ def best_match(weights) -> list[tuple[int, int]]:
     that still allows an optimal completion, and with more rows than
     columns a row is left out only when skipping it costs nothing.
 
-    Cost is one assignment solve per (row, candidate column); fine for
-    slot counts into the low hundreds.
+    Each row solves the remaining rows against the free columns once.
+    With non-negative weights, dropping a column never raises that
+    optimum, so ``w[row, c]`` plus it, times ``1 + BOUND_SLACK``, caps
+    the value of taking column ``c`` (with no slack when the weights
+    are integers summing below 2**53, as every sum is then exact).
+    Columns are tried in descending ``w[row, c]``, each with one
+    assignment solve, until the cap falls below the best value found; a
+    column whose cap only equals it is skipped unless it is smaller
+    than the best column.  The maximum value wins, the smallest column
+    on exact ties.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
@@ -74,6 +173,9 @@ def best_match(weights) -> list[tuple[int, int]]:
     if (w < 0).any():
         raise ValueError("weight matrix contains negative values")
 
+    table = w.tolist()
+    exact = bool((w == np.floor(w)).all()) and w.sum() < 2.0**53
+    scale = 1.0 if exact else 1.0 + BOUND_SLACK
     size = min(n_rows, n_cols)
     pairs: list[tuple[int, int]] = []
     free_cols = list(range(n_cols))
@@ -82,22 +184,28 @@ def best_match(weights) -> list[tuple[int, int]]:
         if remaining == 0:
             break
         rows_after = list(range(row + 1, n_rows))
-        # Candidate options in preference order: columns ascending,
-        # skipping the row last.  Strict > keeps the preferred option
-        # among equals.
+        rest_value = _assignment_value(w, table, rows_after, free_cols)
+        row_weights = table[row]
         best_value = None
         best_col = None
-        for col in free_cols:
+        for col in sorted(free_cols, key=lambda c: -row_weights[c]):
+            if best_value is not None:
+                cap = (row_weights[col] + rest_value) * scale
+                if cap < best_value:
+                    break
+                if cap == best_value and col > best_col:
+                    continue
             rest = [c for c in free_cols if c != col]
-            value = w[row, col] + _assignment_value(w[np.ix_(rows_after, rest)])
-            if best_value is None or value > best_value:
+            value = row_weights[col] + _assignment_value(w, table, rows_after, rest)
+            if best_value is None or value > best_value or (
+                value == best_value and col < best_col
+            ):
                 best_value = value
                 best_col = col
-        if len(rows_after) >= remaining:
-            skip_value = _assignment_value(w[np.ix_(rows_after, free_cols)])
-            if skip_value > best_value:
-                best_value = skip_value
-                best_col = None
+        # Skipping the row is the least preferred option: it needs a
+        # strictly better value.
+        if len(rows_after) >= remaining and rest_value > best_value:
+            best_col = None
         if best_col is not None:
             pairs.append((row, best_col))
             free_cols.remove(best_col)

@@ -52,6 +52,14 @@ def test_load_lexicon_empty_is_error(tmp_path):
         load_lexicon(str(path))
 
 
+@pytest.mark.parametrize("line", ["walk\tverb", "ice cream", "a\u00a0b"])
+def test_load_lexicon_rejects_whitespace_in_lemma(tmp_path, line):
+    path = tmp_path / "lemmas.txt"
+    path.write_text(f"run\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: lemma .* contains whitespace"):
+        load_lexicon(str(path))
+
+
 def test_load_gold(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text(

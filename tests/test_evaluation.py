@@ -1,12 +1,22 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import evaluation_oracle as oracle
+from paracomp import evaluation
 from paracomp.evaluation import (
     DEFAULT_BASELINE_SLOTS,
+    _assignment,
     best_match,
     best_match_accuracy,
     lemma_baseline,
@@ -114,6 +124,103 @@ class TestBestMatch:
             pairs = best_match(w)
             assert pairs == expected_pairs, w
             assert math.fsum(w[r, c] for r, c in pairs) == expected_value
+
+
+@st.composite
+def weight_matrices(draw, max_side=9):
+    """Wide, tall and square non-negative matrices, rich in exact ties."""
+    n_rows = draw(st.integers(1, max_side))
+    n_cols = draw(st.integers(1, max_side))
+    kind = draw(st.sampled_from(["ints", "rationals", "floats", "zeros", "constant"]))
+    if kind == "ints":
+        cell = st.integers(0, 3).map(float)
+    elif kind == "rationals":
+        n = draw(st.integers(1, 9))
+        cell = st.integers(0, n).map(lambda k: k / n)
+    elif kind == "floats":
+        cell = st.floats(0.0, 1.0)
+    elif kind == "zeros":
+        cell = st.just(0.0)
+    else:
+        cell = st.just(draw(st.sampled_from([1.0, 1 / 3, 0.1, 7.0])))
+    rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    return np.array(rows, dtype=float)
+
+
+def matched_value(w, pairs):
+    return math.fsum(w[r, c] for r, c in pairs)
+
+
+class TestAssignment:
+    """The pure-Python solver against ``scipy.optimize.linear_sum_assignment``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=weight_matrices())
+    def test_optimal_value_matches_scipy(self, w):
+        rows, cols = linear_sum_assignment(w, maximize=True)
+        pairs = _assignment(w.tolist())
+        assert len(pairs) == min(w.shape)
+        assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+        expected = matched_value(w, zip(rows, cols))
+        if (w == np.floor(w)).all():
+            assert matched_value(w, pairs) == expected
+        else:
+            assert matched_value(w, pairs) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=weight_matrices())
+    def test_assignment_matches_scipy(self, w):
+        # Same tie rules, so the same pairs and not just the same value.
+        rows, cols = linear_sum_assignment(w, maximize=True)
+        assert _assignment(w.tolist()) == list(zip(rows.tolist(), cols.tolist()))
+
+
+class TestBestMatchAgainstOracle:
+    """The bound-pruned ``best_match`` against the unpruned scipy version."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(w=weight_matrices())
+    def test_pairs_match_oracle(self, w):
+        assert best_match(w) == oracle.best_match(w)
+
+    def test_bound_slack_covers_rounding(self):
+        # For row 1 the rest optimum is 0.9 either way, but it sums to
+        # 0.2 + 0.7 = 0.8999999999999999 over both free columns and to 0.9
+        # with column 1 taken.  So column 1's value 0.8 + 0.9 rounds above
+        # its cap 0.8 + 0.8999999999999999, and only the slack keeps the
+        # column from being pruned as a mere tie with column 0's 1.0 + 0.7.
+        w = [[0.6, 0.7], [1.0, 0.8], [0.2, 0.0], [0.9, 0.7]]
+        assert best_match(w) == oracle.best_match(w) == [(1, 1), (3, 0)]
+
+    def test_wide_table_matches_oracle(self):
+        rng = np.random.RandomState(6300)
+        accuracy = rng.randint(0, 26, size=(6, 300)) / 25
+        counts = rng.randint(0, 4, size=(6, 300)).astype(float)
+        for w in accuracy, counts:
+            with mock.patch.object(
+                evaluation, "_assignment", wraps=evaluation._assignment
+            ) as solve:
+                pairs = best_match(w)
+            assert pairs == oracle.best_match(w)
+            # Unpruned, the six rows would try 300 + 299 + ... + 295 = 1,785
+            # columns, one assignment solve each.
+            assert solve.call_count < 180
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, paracomp; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestBestMatchAccuracy:
