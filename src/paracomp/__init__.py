@@ -59,10 +59,7 @@ from .slot_clustering import (
     MergeEvent,
     SlotState,
     context_counts,
-    extract_slot_features,
     group_surface_changes,
-    slot_similarity,
-    window_index,
 )
 from .synth import SyntheticLanguage, generate_language
 from .tagger import (

@@ -21,10 +21,6 @@ MODES = (
     "eval",
 )
 
-# Slot clustering gives every slot a dense vector over all
-# hmm_states ** context_window tag windows: 2**20 floats is 8 MiB a slot.
-MAX_SLOT_FEATURES = 2**20
-
 
 @dataclass
 class Config:
@@ -78,15 +74,6 @@ class Config:
             raise ValueError("bootstrap_rounds must be >= 0")
         if self.hmm_states < 1:
             raise ValueError("hmm_states must be >= 1")
-        # Past 20 the exponent alone exceeds the cap for any hmm_states >= 2,
-        # so it is clipped rather than raised to an arbitrarily large power.
-        features = self.hmm_states ** min(self.context_window, 21)
-        if features > MAX_SLOT_FEATURES:
-            raise ValueError(
-                f"hmm_states ** context_window must be at most "
-                f"{MAX_SLOT_FEATURES} slot features, got "
-                f"{self.hmm_states} ** {self.context_window}"
-            )
         if self.hmm_iterations < 0:
             raise ValueError("hmm_iterations must be >= 0")
         if self.unk_threshold < 0:

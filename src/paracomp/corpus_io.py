@@ -182,6 +182,9 @@ def read_predictions(path: str) -> dict[str, dict[int, str]]:
                     f"got {len(fields)}"
                 )
             lemma, form, slot_text = fields
+            # An empty form is a legal prediction; an empty lemma is not.
+            if not lemma:
+                raise ValueError(f"{path}: line {lineno}: empty lemma")
             try:
                 slot = int(slot_text)
             except ValueError:

@@ -198,7 +198,6 @@ def run_pipeline(
                     boot.lexicon,
                     merge_threshold=config.merge_threshold,
                     window=config.context_window,
-                    states=config.hmm_states,
                     vocab=vocab,
                 )
             with _stage("generate", timings):

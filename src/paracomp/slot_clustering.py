@@ -2,11 +2,14 @@
 
 Each retained edit tree starts as its own slot, carrying the lemmas it
 applies to and the attested forms it produces.  A slot is described by
-a vector over tag windows: for every corpus occurrence of one of its
-forms, the tuple of tagger states around that occurrence indexes one
-coordinate, incremented by the producing lemmas' weights.  Slots whose
-vectors point the same way are merged greedily, but never when they
-share a lemma: one lemma cannot fill the same paradigm slot twice.
+a vector over the tag windows observed around its forms: every corpus
+occurrence of one of its forms adds the producing lemmas' weights to
+the coordinate of the tuple of tagger states around that occurrence.
+The vectors are the rows of one matrix whose columns are the distinct
+windows around any slot's forms, in sorted order, and slots are scored
+from its Gram matrix.  Slots whose vectors point the same way are
+merged greedily, but never when they share a lemma: one lemma cannot
+fill the same paradigm slot twice.
 """
 
 from __future__ import annotations
@@ -23,20 +26,11 @@ from .lexicon import WeightedLexicon
 
 @dataclass(eq=False)
 class SlotState:
-    """One (possibly merged) slot: its trees, lemma->form map and features."""
+    """One (possibly merged) slot: its trees and lemma->form map."""
 
     id: int
     trees: tuple[EditTree, ...]
     lemma_forms: dict[str, str]
-    features: np.ndarray
-
-    @property
-    def lemma_set(self) -> frozenset[str]:
-        return frozenset(self.lemma_forms)
-
-    @property
-    def form_set(self) -> frozenset[str]:
-        return frozenset(self.lemma_forms.values())
 
 
 @dataclass(frozen=True)
@@ -52,18 +46,10 @@ def _check_window(window: int) -> int:
     return window // 2
 
 
-def window_index(tags: list[int], center: int, radius: int, states: int) -> int:
-    """Mixed-radix index of the state tuple around ``center``."""
-    idx = 0
-    for tag in tags[center - radius:center + radius + 1]:
-        idx = idx * states + tag
-    return idx
-
-
 def context_counts(
-    corpus: Corpus, tags: list[int], radius: int, states: int
+    corpus: Corpus, tags: list[int], radius: int
 ) -> dict[str, Counter]:
-    """Window-index counts per word type.
+    """Tag-window counts per word type, keyed by the tuple of states.
 
     Only positions whose full window fits inside one sentence count;
     boundary-straddling windows are skipped entirely.
@@ -71,12 +57,11 @@ def context_counts(
     counts: dict[str, Counter] = {}
     for start, end in corpus.sentences():
         for pos in range(start + radius, end - radius):
-            idx = window_index(tags, pos, radius, states)
             token = corpus.tokens[pos]
             bucket = counts.get(token)
             if bucket is None:
                 bucket = counts[token] = Counter()
-            bucket[idx] += 1
+            bucket[tuple(tags[pos - radius:pos + radius + 1])] += 1
     return counts
 
 
@@ -93,61 +78,15 @@ def _form_weights(
     }
 
 
-def _features_from_counts(
-    lemma_forms: dict[str, str],
-    counts: dict[str, Counter],
-    lexicon: WeightedLexicon,
-    dim: int,
-) -> np.ndarray:
-    vec = np.zeros(dim)
-    weights = _form_weights(lemma_forms, lexicon)
-    for form in sorted(weights):
-        bucket = counts.get(form)
-        if not bucket:
-            continue
-        w = weights[form]
-        for idx, n in bucket.items():
-            vec[idx] += w * n
-    return vec
-
-
-def extract_slot_features(
-    corpus: Corpus,
-    tags: list[int],
-    slot: SlotState,
-    lexicon: WeightedLexicon,
-    window: int = 3,
-    states: int = 8,
-) -> np.ndarray:
-    """Context vector of a slot, by direct corpus scan.
-
-    Every in-sentence occurrence of one of the slot's forms bumps the
-    coordinate of its surrounding state tuple by the summed weight of
-    the lemmas producing that form.
-    """
-    radius = _check_window(window)
-    if len(tags) != len(corpus):
-        raise ValueError(
-            f"tag count {len(tags)} does not match corpus length {len(corpus)}"
-        )
-    weights = _form_weights(slot.lemma_forms, lexicon)
-    vec = np.zeros(states ** window)
-    for start, end in corpus.sentences():
-        for pos in range(start + radius, end - radius):
-            w = weights.get(corpus.tokens[pos])
-            if w is None:
-                continue
-            vec[window_index(tags, pos, radius, states)] += w
-    return vec
-
-
-def slot_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, defined as 0 when either vector is all zero."""
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return min(1.0, float(np.dot(a, b)) / (norm_a * norm_b))
+def _cosines(gram: np.ndarray) -> np.ndarray:
+    """Pairwise cosine from a Gram matrix, 0 where either vector is zero."""
+    norms = np.sqrt(gram.diagonal())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.minimum(1.0, gram / np.multiply.outer(norms, norms))
+    zero = norms == 0.0
+    cos[zero, :] = 0.0
+    cos[:, zero] = 0.0
+    return cos
 
 
 def group_surface_changes(
@@ -157,17 +96,16 @@ def group_surface_changes(
     lexicon: WeightedLexicon,
     merge_threshold: float = 0.3,
     window: int = 3,
-    states: int = 8,
     vocab=None,
 ) -> tuple[list[SlotState], list[MergeEvent]]:
     """Greedy slot merging.
 
     Starts with one slot per tree (keeping only lemmas whose rewritten
-    form is attested), then repeatedly merges the highest-similarity
-    pair of lemma-disjoint slots while that similarity is strictly
-    above the threshold.  Ties take the lowest id pair.  The kept slot
-    inherits the smaller id and its features are recomputed from the
-    merged form set, not added together.
+    form is attested), then repeatedly merges the highest-cosine pair
+    of lemma-disjoint slots while that cosine is strictly above the
+    threshold.  Ties take the lowest id pair.  The kept slot inherits
+    the smaller id and its vector is recomputed from the merged form
+    set, in sorted form order, not added together.
     """
     radius = _check_window(window)
     if not 0.0 <= merge_threshold <= 1.0:
@@ -179,50 +117,58 @@ def group_surface_changes(
             f"tag count {len(tags)} does not match corpus length {len(corpus)}"
         )
     attested = set(vocab.types) if vocab is not None else set(corpus.tokens)
-    dim = states ** window
-    counts = context_counts(corpus, tags, radius, states)
+    counts = context_counts(corpus, tags, radius)
 
-    slots: dict[int, SlotState] = {}
+    slots = []
     for slot_id, tree in enumerate(trees, start=1):
         lemma_forms = {}
         for entry in lexicon:
             form = apply(tree, entry.lemma)
             if form is not None and form in attested:
                 lemma_forms[entry.lemma] = form
-        slots[slot_id] = SlotState(
-            slot_id,
-            (tree,),
-            lemma_forms,
-            _features_from_counts(lemma_forms, counts, lexicon, dim),
-        )
+        slots.append(SlotState(slot_id, (tree,), lemma_forms))
+
+    forms = {form for slot in slots for form in slot.lemma_forms.values()}
+    windows = sorted({key for form in forms for key in counts.get(form, ())})
+    column = {key: j for j, key in enumerate(windows)}
+
+    def row(lemma_forms: dict[str, str]) -> np.ndarray:
+        vec = np.zeros(len(column))
+        weights = _form_weights(lemma_forms, lexicon)
+        for form in sorted(weights):
+            for key, n in counts.get(form, {}).items():
+                vec[column[key]] += weights[form] * n
+        return vec
+
+    n = len(slots)
+    vectors = np.zeros((n, len(column)))
+    owns = np.zeros((n, len(lexicon)), dtype=bool)
+    lemma_ids = {entry.lemma: k for k, entry in enumerate(lexicon)}
+    for i, slot in enumerate(slots):
+        vectors[i] = row(slot.lemma_forms)
+        owns[i, [lemma_ids[lemma] for lemma in slot.lemma_forms]] = True
+    gram = vectors @ vectors.T
+    overlap = owns.astype(np.float32)
+    overlap = overlap @ overlap.T
+    # Pairs that may still merge: both alive and lemma-disjoint.  Only
+    # the strict upper triangle is open, so argmax scans pairs in id order.
+    open_pair = np.triu(overlap == 0.0, 1)
 
     log: list[MergeEvent] = []
-    while len(slots) > 1:
-        ids = sorted(slots)
-        best_score = None
-        best_pair = None
-        for a_pos, id_a in enumerate(ids):
-            a = slots[id_a]
-            for id_b in ids[a_pos + 1:]:
-                b = slots[id_b]
-                if not a.lemma_forms.keys().isdisjoint(b.lemma_forms):
-                    continue
-                score = slot_similarity(a.features, b.features)
-                if best_score is None or score > best_score:
-                    best_score = score
-                    best_pair = (id_a, id_b)
-        if best_pair is None or best_score <= merge_threshold:
+    while open_pair.any():
+        scores = np.where(open_pair, _cosines(gram), -1.0)
+        a, b = divmod(int(scores.argmax()), n)
+        if scores[a, b] <= merge_threshold:
             break
-        id_a, id_b = best_pair
-        a = slots[id_a]
-        b = slots.pop(id_b)
-        merged_forms = dict(a.lemma_forms)
-        merged_forms.update(b.lemma_forms)
-        slots[id_a] = SlotState(
-            id_a,
-            a.trees + b.trees,
-            merged_forms,
-            _features_from_counts(merged_forms, counts, lexicon, dim),
-        )
-        log.append(MergeEvent(id_a, id_b, best_score))
-    return [slots[slot_id] for slot_id in sorted(slots)], log
+        kept, absorbed = slots[a], slots[b]
+        kept.trees += absorbed.trees
+        kept.lemma_forms.update(absorbed.lemma_forms)
+        slots[b] = None
+        vectors[a] = row(kept.lemma_forms)
+        gram[a] = gram[:, a] = vectors @ vectors[a]
+        owns[a] |= owns[b]
+        closed = (owns & owns[a]).any(axis=1)
+        open_pair[a, closed] = open_pair[closed, a] = False
+        open_pair[b, :] = open_pair[:, b] = False
+        log.append(MergeEvent(kept.id, absorbed.id, float(scores[a, b])))
+    return [slot for slot in slots if slot is not None], log

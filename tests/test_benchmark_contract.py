@@ -1,4 +1,4 @@
-"""The benchmark's output contract, checked on one short traced run.
+"""The benchmark's output contract, checked on short traced runs.
 
 ``perfbench/run.py`` ends its output with one JSON line.  A traced run
 must report every per-layer metric that ``BENCHMARK.json`` declares,
@@ -16,10 +16,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_sparse_seed_run_reports_every_declared_metric():
+def _check_traced_run(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
-         "--workload", "sparse-seed", "--seed", "1",
+         "--workload", workload, "--seed", "1",
          "--seconds", "0.1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -33,3 +33,13 @@ def test_traced_sparse_seed_run_reports_every_declared_metric():
     assert sorted(last["metrics"]) == sorted(declared)
     missing = [name for name, m in last["metrics"].items() if m["value"] is None]
     assert missing == []
+
+
+def test_traced_sparse_seed_run_reports_every_declared_metric():
+    _check_traced_run("sparse-seed")
+
+
+def test_traced_clustering_run_reports_every_declared_metric():
+    # sparse-seed never tags or clusters, so only a sentence workload
+    # re-runs the tagger and group_surface_changes kernels.
+    _check_traced_run("short-sentences")

@@ -7,6 +7,7 @@ from paracomp.corpus_io import (
     read_predictions,
     write_predictions,
 )
+from paracomp.inflection import extract_affix_rules, inflect
 
 
 def test_load_corpus_basic(tmp_path):
@@ -114,3 +115,20 @@ def test_read_predictions_bad_slot_id(tmp_path):
     path.write_text("walk\twalked\tfirst\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not an integer"):
         read_predictions(str(path))
+
+
+def test_read_predictions_rejects_empty_lemma(tmp_path):
+    path = tmp_path / "pred.tsv"
+    path.write_text("walk\twalked\t1\n\tx\t2\nwalk\t\t3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"pred\.tsv: line 2: empty lemma"):
+        read_predictions(str(path))
+
+
+def test_empty_predicted_form_round_trips(tmp_path):
+    # A suffix rule learned from xyab -> xy deletes the whole lemma "ab".
+    rules = extract_affix_rules([(1, "xyab", "xy", 1.0)])
+    predictions = {"ab": {1: inflect(rules, 1, "ab")}, "walk": {1: "walked"}}
+    assert predictions["ab"] == {1: ""}
+    path = tmp_path / "pred.tsv"
+    write_predictions(predictions, str(path))
+    assert read_predictions(str(path)) == predictions

@@ -1,7 +1,11 @@
 import dataclasses
 import filecmp
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paracomp.cli import _config_from_args, build_parser, main
 from paracomp.config import Config, build_config, parse_config_file
@@ -54,18 +58,6 @@ class TestConfig:
             Config(**kwargs).validate()
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"hmm_states": 8, "context_window": 7},
-            {"hmm_states": 17, "context_window": 5},
-            {"hmm_states": 2, "context_window": 10**9 + 1},
-        ],
-    )
-    def test_slot_feature_cap_errors(self, kwargs):
-        with pytest.raises(ValueError, match=r"hmm_states \*\* context_window"):
-            Config(**kwargs).validate()
-
-    @pytest.mark.parametrize(
         "name", ["tree_support_factor", "lemma_evidence_factor"]
     )
     @pytest.mark.parametrize("value", [-0.5, float("nan")])
@@ -74,9 +66,23 @@ class TestConfig:
             Config(**{name: value}).validate()
         Config(**{name: 0.0}).validate()
 
-    def test_slot_feature_cap_boundaries(self):
-        Config(hmm_states=16, context_window=5).validate()  # exactly 2**20
-        Config(hmm_states=1, context_window=10**9 + 1).validate()
+    def test_wide_window_configs_validate_and_run(self, lang_paths):
+        # Slot vectors span only the tag windows that occur, so neither
+        # the state count nor the window length is capped.
+        Config(hmm_states=17, context_window=5).validate()
+        config = Config(
+            mode="pcs-ii+iii", hmm_states=8, context_window=7, hmm_iterations=10
+        )
+        config.validate()
+        result = run_pipeline(
+            config,
+            corpus_path=lang_paths["corpus"],
+            lexicon_path=lang_paths["lemmas"],
+            gold_path=lang_paths["gold"],
+        )
+        assert result.slots
+        assert result.slot_count == len(result.slots)
+        assert result.scores is not None
 
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -483,3 +489,61 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             main(["run"])
         assert info.value.code == 2
+
+
+# Letters, marks, digits, punctuation and symbols from all of Unicode:
+# no whitespace, which would split a token, and no control characters.
+WORDS = st.text(
+    st.characters(exclude_categories=("Z", "C")), min_size=1, max_size=4
+)
+
+
+@st.composite
+def degenerate_inputs(draw):
+    """Sentences and lemmas; some words inflect a lemma, the rest are noise."""
+    stems = draw(st.lists(WORDS, min_size=1, max_size=4))
+    word = WORDS | st.builds(
+        str.__add__, st.sampled_from(stems), st.sampled_from(["", "s", "ed"])
+    )
+    sentences = draw(st.lists(
+        st.lists(word, min_size=1, max_size=3), min_size=1, max_size=8
+    ))
+    lemmas = stems + draw(st.lists(WORDS, max_size=2))
+    return sentences, lemmas
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    inputs=degenerate_inputs(),
+    mode=st.sampled_from(["pcs-iii", "pcs-ii+iii"]),
+    unk_threshold=st.sampled_from([0, 2, 1000]),
+    context_window=st.sampled_from([1, 3, 7, 99]),
+    hmm_states=st.sampled_from([1, 2, 8]),
+)
+def test_degenerate_inputs_fail_only_as_stage_errors(
+    inputs, mode, unk_threshold, context_window, hmm_states
+):
+    sentences, lemmas = inputs
+    # Single-token sentences, an all-UNK vocabulary, lemmas the corpus
+    # never uses and windows longer than every sentence: the run either
+    # completes or names the stage that could not.
+    config = Config(
+        mode=mode, unk_threshold=unk_threshold, context_window=context_window,
+        hmm_states=hmm_states, hmm_iterations=2,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "corpus.txt")
+        lexicon = os.path.join(tmp, "lemmas.txt")
+        with open(corpus, "w", encoding="utf-8") as handle:
+            handle.writelines(" ".join(s) + "\n" for s in sentences)
+        with open(lexicon, "w", encoding="utf-8") as handle:
+            handle.writelines(lemma + "\n" for lemma in lemmas)
+        try:
+            result = run_pipeline(
+                config, corpus_path=corpus, lexicon_path=lexicon,
+                out_path=os.path.join(tmp, "pred.tsv"),
+            )
+        except StageError:
+            return
+    assert set(result.predictions) == set(result.lexicon.gold_lemmas())
+    assert result.slot_count == len(result.slots)
