@@ -8,10 +8,11 @@ the discovery step can be repeated.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .discovery import TreeCensus, find_candidates, retain_frequent_trees
-from .edit_tree import EditTree, apply
+from .edit_tree import EditTree, apply, inverse, last_literal
 from .lexicon import WeightedLexicon
 
 
@@ -30,25 +31,30 @@ def discover_new_lemmas(
 
     A tree contributes one hit when it applies to the word and its
     output is itself an attested word; trees that do not fit contribute
-    nothing.
+    nothing.  The hits are counted from the output side: a tree's
+    output ends in its rightmost target literal, so each attested word
+    ``v`` is tried only against the trees whose literal ends ``v``, and
+    the single word such a tree could map onto ``v`` is the inverse
+    tree's output.  A duplicate tree in ``trees`` counts twice.
     """
     if not trees:
         raise ValueError("cannot discover lemmas without retained trees")
     cutoff = min_discovery_evidence(len(trees), evidence_factor)
-    found = []
-    for word in sorted(vocab.types):
-        if word in lexicon:
-            continue
-        hits = 0
-        for tree in trees:
-            out = apply(tree, word)
-            if out is not None and out in vocab:
-                hits += 1
-                if hits > cutoff:
-                    break
-        if hits > cutoff:
-            found.append(word)
-    return found
+    buckets: dict[str, list[tuple[EditTree, EditTree]]] = {}
+    for tree in trees:
+        buckets.setdefault(last_literal(tree), []).append((tree, inverse(tree)))
+    lengths = sorted({len(literal) for literal in buckets})
+    hits: Counter = Counter()
+    for out in vocab.types:
+        for k in lengths:
+            if k > len(out):
+                break
+            for tree, back in buckets.get(out[len(out) - k:], ()):
+                word = apply(back, out)
+                if (word is not None and word in vocab and word not in lexicon
+                        and apply(tree, word) == out):
+                    hits[word] += 1
+    return sorted(word for word, count in hits.items() if count > cutoff)
 
 
 @dataclass
@@ -71,10 +77,14 @@ def bootstrap(
 ) -> BootstrapResult:
     """Candidate search plus ``rounds`` rounds of lemma retrieval.
 
-    ``rounds=0`` runs the plain discovery stage.  Running one round and
-    then feeding the result back in equals running two rounds at once:
-    every round re-derives candidates and trees from the current
-    lexicon, and new lemmas enter at iteration max+1.
+    ``rounds=0`` runs the plain discovery stage.  New lemmas are appended
+    to the lexicon at iteration max+1, and a word's candidates do not
+    depend on the other lemmas, so each round searches candidates for
+    the new lemmas only, adds only their pairs to the tree census it
+    carries, and re-applies the support cutoff for the grown lexicon.
+    The census sums every tree's support in lexicon order, as a search
+    over the whole grown lexicon would, so running one round and then
+    feeding the result back in equals running two rounds at once.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
@@ -86,11 +96,15 @@ def bootstrap(
         new = discover_new_lemmas(vocab, trees, lexicon, lemma_evidence_factor)
         if not new:
             break
+        counted = len(lexicon)
         lexicon = lexicon.add_discovered(
             new, lexicon.max_iteration() + 1, lemma_decay
         )
-        candidates = find_candidates(lexicon, vocab, candidate_ratio)
+        fresh = find_candidates(
+            WeightedLexicon(lexicon.entries[counted:]), vocab, candidate_ratio
+        )
+        candidates = {**candidates, **fresh}
         trees, census = retain_frequent_trees(
-            candidates, lexicon, tree_support_factor
+            fresh, lexicon, tree_support_factor, census
         )
     return BootstrapResult(lexicon, trees, candidates, census)

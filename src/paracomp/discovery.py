@@ -87,15 +87,22 @@ def retain_frequent_trees(
     candidates: dict[str, list[str]],
     lexicon: WeightedLexicon,
     support_factor: float,
+    census: TreeCensus | None = None,
 ) -> tuple[list[EditTree], TreeCensus]:
     """Build trees from all (lemma, candidate) pairs and keep the frequent ones.
 
     A tree's support is the sum of the weights of the lemmas it was
-    built from (one increment per candidate pair).  Kept trees are
-    ordered by descending support, then by serialized form.
+    built from (one increment per candidate pair), added in lexicon
+    order.  Given a ``census``, the pairs in ``candidates`` are added to
+    it in place, so they must be pairs it has not counted yet, of
+    lemmas after the ones it has.  The cutoff is always taken from the
+    whole ``lexicon``.  Kept trees are ordered by descending support,
+    then by serialized form.
     """
-    weights: dict[EditTree, float] = {}
-    support: dict[EditTree, list[tuple[str, str]]] = {}
+    if census is None:
+        census = TreeCensus({}, {})
+    weights = census.weights
+    support = census.support
     for entry in lexicon:
         for word in candidates.get(entry.lemma, ()):
             tree = construct(entry.lemma, word)
@@ -104,5 +111,4 @@ def retain_frequent_trees(
     cutoff = min_tree_support(lexicon.effective_size(), support_factor)
     kept = [tree for tree, weight in weights.items() if weight >= cutoff]
     kept.sort(key=lambda tree: (-weights[tree], to_sexpr(tree)))
-    return kept, TreeCensus(weights, support)
-
+    return kept, census

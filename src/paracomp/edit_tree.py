@@ -104,6 +104,42 @@ def apply(tree: EditTree, text: str) -> str | None:
     return head + text[i:len(text) - j] + tail
 
 
+def _output_len(tree: EditTree, input_len: int) -> int:
+    """Length of the output of ``tree`` on any input of ``input_len`` chars."""
+    if isinstance(tree, Replace):
+        return len(tree.new)
+    i = tree.prefix_len
+    j = tree.suffix_len
+    return (_output_len(tree.left, i) + input_len - i - j
+            + _output_len(tree.right, j))
+
+
+def inverse(tree: EditTree) -> EditTree:
+    """The tree that undoes ``tree``.
+
+    Leaves swap ``old`` and ``new``; an inner node inverts both children
+    and measures its prefix and suffix on the output side, whose lengths
+    are fixed by the children's input lengths.  An edit tree is
+    injective, so ``apply(inverse(t), apply(t, w)) == w`` wherever ``t``
+    applies.
+    """
+    if isinstance(tree, Replace):
+        return Replace(tree.new, tree.old)
+    return Match(
+        _output_len(tree.left, tree.prefix_len),
+        _output_len(tree.right, tree.suffix_len),
+        inverse(tree.left),
+        inverse(tree.right),
+    )
+
+
+def last_literal(tree: EditTree) -> str:
+    """The rightmost leaf's ``new``: a suffix of every output of ``tree``."""
+    while isinstance(tree, Match):
+        tree = tree.right
+    return tree.new
+
+
 def to_sexpr(tree: EditTree) -> str:
     """Serialize a tree to a stable s-expression, for logs and dumps."""
     if isinstance(tree, Replace):

@@ -36,7 +36,7 @@ from .edit_tree import EditTree, apply
 from .evaluation import BmaccResult, best_match_accuracy, lemma_baseline
 from .inflection import RuleTable, SlotRules, dump_rules, extract_affix_rules, inflect
 from .lexicon import WeightedLexicon
-from .slot_clustering import MergeEvent, SlotState, group_surface_changes
+from .slot_clustering import MergeEvent, SlotState, group_surface_changes, windowed_tokens
 from .tagger import HmmModel, tag_corpus, train_hmm
 
 _TREE_MODES = ("pcs-i", "pcs-ii-a", "pcs-ii-b")
@@ -65,6 +65,8 @@ class PipelineResult:
     model: HmmModel | None = None
     tags: list[int] | None = None
     lexicon: WeightedLexicon | None = None
+    #: Tokens with a full clustering window inside their sentence.
+    windowed_tokens: int | None = None
     scores: BmaccResult | None = None
     report: str = ""
 
@@ -191,6 +193,9 @@ def run_pipeline(
                 )
                 result.tags = tag_corpus(result.model, corpus)
             with _stage("cluster", timings):
+                result.windowed_tokens = windowed_tokens(
+                    corpus, config.context_window
+                )
                 result.slots, result.merge_log = group_surface_changes(
                     boot.trees,
                     corpus,
@@ -274,6 +279,15 @@ def build_report(result: PipelineResult, config: Config) -> str:
     if result.trees:
         lines.append(f"retained trees: {len(result.trees)}")
     lines.append(f"predicted slots: {result.slot_count}")
+    if result.windowed_tokens is not None:
+        lines.append(
+            f"windowed tokens: {result.windowed_tokens} of {len(result.tags)}"
+        )
+        if result.windowed_tokens == 0:
+            lines.append(
+                f"warning: no sentence holds a full {config.context_window}-tag "
+                "window, so slots cannot be told apart by context"
+            )
     if result.merge_log:
         merges = " | ".join(
             f"{event.kept}+{event.absorbed} score={event.score:.4f}"

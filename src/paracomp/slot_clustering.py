@@ -65,6 +65,14 @@ def context_counts(
     return counts
 
 
+def windowed_tokens(corpus: Corpus, window: int) -> int:
+    """Tokens whose full window of ``window`` tags fits inside one sentence."""
+    radius = _check_window(window)
+    return sum(
+        max(0, end - start - 2 * radius) for start, end in corpus.sentences()
+    )
+
+
 def _form_weights(
     lemma_forms: dict[str, str], lexicon: WeightedLexicon
 ) -> dict[str, float]:

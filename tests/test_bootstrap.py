@@ -1,15 +1,20 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bootstrap_oracle
 from paracomp.bootstrap import (
     bootstrap,
     discover_new_lemmas,
     min_discovery_evidence,
 )
+from paracomp.config import Config
 from paracomp.corpus_io import Vocabulary
-from paracomp.edit_tree import IDENTITY, Match, Replace
+from paracomp.edit_tree import IDENTITY, Match, Replace, construct, to_sexpr
 from paracomp.lexicon import LexiconEntry, WeightedLexicon
+from paracomp.synth import generate_language
 
 APPEND_ED = Match(0, 0, Replace("", ""), Replace("", "ed"))
 APPEND_S = Match(0, 0, Replace("", ""), Replace("", "s"))
@@ -19,6 +24,14 @@ FOUR_TREES = [IDENTITY, APPEND_ED, APPEND_S, APPEND_ING]
 
 def vocab_of(*words) -> Vocabulary:
     return Vocabulary(Counter(words))
+
+
+def census_bits(census):
+    """Census weights as float.hex, in insertion order, plus the supports."""
+    return (
+        [(to_sexpr(tree), weight.hex()) for tree, weight in census.weights.items()],
+        {to_sexpr(tree): pairs for tree, pairs in census.support.items()},
+    )
 
 
 def test_min_discovery_evidence_values():
@@ -77,6 +90,15 @@ def test_discover_inapplicable_trees_never_count():
     assert discover_new_lemmas(vocab, trees, lexicon, 0.2) == []
 
 
+def test_discover_ignores_trees_that_never_apply():
+    # A 3-char prefix that must equal "ab" fits no word, but the inverse
+    # tree (prepend "ab") maps "x" onto the attested "abx".
+    never = Match(3, 0, Replace("ab", ""), Replace("", ""))
+    vocab = vocab_of("x", "abx")
+    lexicon = WeightedLexicon.from_lemmas(["zz"])
+    assert discover_new_lemmas(vocab, [never] * 4, lexicon, 0.0) == []
+
+
 def test_discover_requires_trees():
     with pytest.raises(ValueError, match="trees"):
         discover_new_lemmas(vocab_of("a"), [], WeightedLexicon.from_lemmas(["b"]), 0.2)
@@ -124,8 +146,123 @@ def test_bootstrap_two_rounds_equal_one_plus_one():
     assert two.lexicon.entries == again.lexicon.entries
     assert two.trees == again.trees
     assert two.candidates == again.candidates
+    assert census_bits(two.census) == census_bits(again.census)
 
 
 def test_bootstrap_rejects_negative_rounds():
     with pytest.raises(ValueError, match="rounds"):
         boot(WeightedLexicon.from_lemmas(["walk"]), -1)
+
+
+_ALPHABET = "abcαжщ汉🦉\u0301"
+_words = st.text(alphabet=_ALPHABET, max_size=5)
+_leaves = st.builds(Replace, _words, _words)
+#: Hand-built trees, including ones whose lengths no input can satisfy.
+_hand_trees = st.recursive(
+    _leaves,
+    lambda children: st.builds(
+        Match, st.integers(0, 3), st.integers(0, 3), children, children
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def retrieval_cases(draw):
+    words = draw(st.lists(_words, min_size=1, max_size=30, unique=True))
+    word = st.sampled_from(words)
+    lemmas = draw(st.lists(
+        word.filter(bool) | _words.filter(bool), max_size=6, unique=True
+    ))
+    pairs = draw(st.lists(st.tuples(word, word), max_size=8))
+    pool = [construct(x, y) for x, y in pairs]
+    pool += draw(st.lists(_hand_trees, max_size=3))
+    pool += draw(st.lists(st.builds(Replace, word, word), max_size=2))
+    pool += [
+        Match(0, 0, Replace("", affix), Replace("", ""))
+        for affix in draw(st.lists(_words, max_size=2))
+    ]
+    pool.append(IDENTITY)
+    # Drawing from the pool with repetition gives duplicate trees.
+    trees = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+    factor = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    return Vocabulary(Counter(words)), trees, WeightedLexicon.from_lemmas(lemmas), factor
+
+
+@settings(max_examples=400, deadline=None)
+@given(retrieval_cases())
+def test_discover_matches_oracle(case):
+    vocab, trees, lexicon, factor = case
+    assert discover_new_lemmas(vocab, trees, lexicon, factor) == (
+        bootstrap_oracle.discover_new_lemmas(vocab, trees, lexicon, factor)
+    )
+
+
+def test_duplicate_trees_count_twice():
+    # Two copies of +ed and one +s make 3 hits: not above the cutoff of 3
+    # without the duplicate counting, above it with a fourth copy.
+    vocab = vocab_of("talk", "talked", "talks")
+    lexicon = WeightedLexicon.from_lemmas(["walk"])
+    trees = [APPEND_ED, APPEND_ED, APPEND_S]
+    assert discover_new_lemmas(vocab, trees, lexicon, 0.0) == []
+    assert discover_new_lemmas(vocab, trees + [APPEND_ED], lexicon, 0.0) == ["talk"]
+
+
+def matches_oracle(vocab, lexicon, rounds, settings_):
+    """Run bootstrap and its oracle; every output must agree bit for bit."""
+    got = bootstrap(vocab, lexicon, rounds=rounds, **settings_)
+    want = bootstrap_oracle.bootstrap(vocab, lexicon, rounds=rounds, **settings_)
+    assert got.lexicon.entries == want.lexicon.entries
+    assert got.trees == want.trees
+    assert list(got.candidates.items()) == list(want.candidates.items())
+    assert census_bits(got.census) == census_bits(want.census)
+    return got
+
+
+def _sparse_seed_language(seed):
+    """A language the size of the sparse-seed benchmark: a quarter seeded."""
+    lang = generate_language(slots=6, lemmas=200, classes=3, tokens=5000, seed=seed)
+    vocab = Vocabulary(Counter(tok for sentence in lang.sentences for tok in sentence))
+    return vocab, WeightedLexicon.from_lemmas(lang.lexicon[::4])
+
+
+@pytest.mark.parametrize("seed", [7, 29])
+def test_bootstrap_matches_oracle_on_sparse_seed_language(seed):
+    vocab, lexicon = _sparse_seed_language(seed)
+    config = Config()
+    settings_ = dict(
+        candidate_ratio=config.candidate_ratio,
+        tree_support_factor=config.tree_support_factor,
+        lemma_evidence_factor=config.lemma_evidence_factor,
+        lemma_decay=config.lemma_decay,
+    )
+    grown = [
+        len(matches_oracle(vocab, lexicon, rounds, settings_).lexicon)
+        for rounds in range(4)
+    ]
+    # Round 1 finds every other lemma of the language.
+    assert grown[0] < grown[1] == grown[3]
+
+
+def _chain_words():
+    """Seeds show +xy once; round 1 lifts +xy over the cutoff for round 2."""
+    words = [stem + suffix for stem in ("bimo", "kadu", "pefo", "ruzi")
+             for suffix in ("", "ed", "s", "ing")]
+    words.append("bimoxy")
+    words += [stem + suffix for stem in ("sohe", "tugi", "vexa")
+              for suffix in ("", "ed", "s", "ing", "xy")]
+    words += ["wyno" + suffix for suffix in ("", "ed", "s", "xy")]
+    return words
+
+
+@pytest.mark.parametrize("decay", [0.5, 0.7])
+def test_bootstrap_matches_oracle_when_later_rounds_find_lemmas(decay):
+    vocab = vocab_of(*_chain_words())
+    lexicon = WeightedLexicon.from_lemmas(["bimo", "kadu", "pefo", "ruzi"])
+    settings_ = dict(candidate_ratio=0.5, tree_support_factor=0.05,
+                     lemma_evidence_factor=0.2, lemma_decay=decay)
+    for rounds in range(4):
+        got = matches_oracle(vocab, lexicon, rounds, settings_)
+    assert [(e.lemma, e.iteration) for e in got.lexicon][4:] == [
+        ("sohe", 1), ("tugi", 1), ("vexa", 1), ("wyno", 2)
+    ]

@@ -11,6 +11,8 @@ from paracomp.edit_tree import (
     Replace,
     apply,
     construct,
+    inverse,
+    last_literal,
     longest_common_substring,
     to_sexpr,
 )
@@ -133,3 +135,36 @@ def test_apply_is_total_partial_function(x, y, z):
 @given(st.text(min_size=1, max_size=12))
 def test_identity_construction(x):
     assert construct(x, x) == IDENTITY
+
+
+def test_inverse_known_trees():
+    tree = construct("najtrudniejszy", "trudny")
+    assert inverse(tree) == Match(
+        0, 1,
+        Replace("", "naj"),
+        Match(0, 0, Replace("", "iejsz"), Replace("", "")),
+    )
+    assert apply(inverse(tree), "apples") == "najappleiejszs"
+    assert inverse(Replace("abc", "xyz")) == Replace("xyz", "abc")
+    assert inverse(IDENTITY) == IDENTITY
+    study = construct("study", "studied")
+    assert inverse(study) == Match(0, 3, Replace("", ""), Replace("ied", "y"))
+    assert last_literal(study) == "ied"
+    assert last_literal(Replace("a", "b")) == "b"
+
+
+_UNICODE = st.text(alphabet="abcαжщ汉🦉\u0301", max_size=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_UNICODE, _UNICODE, st.lists(_UNICODE, max_size=4))
+def test_inverse_round_trip_property(x, y, targets):
+    tree = construct(x, y)
+    back = inverse(tree)
+    for word in [x, *targets]:
+        out = apply(tree, word)
+        if out is None:
+            continue
+        assert apply(back, out) == word
+        assert out.endswith(last_literal(tree))
+    assert inverse(back) == tree

@@ -223,6 +223,37 @@ class TestFullModes:
             "generate", "score",
         ]
 
+    @pytest.mark.parametrize("mode", ["pcs-iii", "pcs-ii+iii"])
+    def test_report_counts_windowed_tokens(self, lang_paths, mode):
+        # Every sentence of this language has 3 tokens: a 3-tag window
+        # fits around the middle token only, a 5-tag window nowhere.
+        tokens = lang_paths["tokens"]
+        runs = {
+            window: run_pipeline(
+                Config(mode=mode, context_window=window, hmm_iterations=5),
+                corpus_path=lang_paths["corpus"],
+                lexicon_path=lang_paths["lemmas"],
+            )
+            for window in (3, 5)
+        }
+        assert runs[3].windowed_tokens == tokens // 3
+        assert f"windowed tokens: {tokens // 3} of {tokens}\n" in runs[3].report
+        assert "warning:" not in runs[3].report
+        assert runs[5].windowed_tokens == 0
+        assert f"windowed tokens: 0 of {tokens}\n" in runs[5].report
+        assert (
+            "warning: no sentence holds a full 5-tag window" in runs[5].report
+        )
+
+    def test_tree_modes_report_no_windows(self, lang_paths):
+        result = run_pipeline(
+            Config(mode="pcs-i"),
+            corpus_path=lang_paths["corpus"],
+            lexicon_path=lang_paths["lemmas"],
+        )
+        assert result.windowed_tokens is None
+        assert "windowed tokens" not in result.report
+
     def test_clustering_mode_equals_zero_round_full_mode(
         self, lang_paths, tmp_path
     ):

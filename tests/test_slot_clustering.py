@@ -13,6 +13,7 @@ from paracomp.slot_clustering import (
     MergeEvent,
     context_counts,
     group_surface_changes,
+    windowed_tokens,
 )
 
 APPEND_ED = Match(0, 0, Replace("", ""), Replace("", "ed"))
@@ -294,3 +295,16 @@ def test_grouping_matches_dense_oracle(case, window, threshold):
         trees, corpus, tags, lexicon, states,
         merge_threshold=threshold, window=window,
     )
+
+
+def test_windowed_tokens_counts_the_positions_context_counts_uses():
+    corpus = corpus_of(["a"], ["a", "b", "c"], ["a", "b", "c", "d", "e"])
+    tags = [0] * len(corpus)
+    for window in (1, 3, 5, 7):
+        counted = context_counts(corpus, tags, window // 2)
+        assert windowed_tokens(corpus, window) == sum(
+            sum(bucket.values()) for bucket in counted.values()
+        )
+    assert [windowed_tokens(corpus, w) for w in (1, 3, 5, 7)] == [9, 4, 1, 0]
+    with pytest.raises(ValueError, match="odd"):
+        windowed_tokens(corpus, 2)
