@@ -36,23 +36,30 @@ def discover_new_lemmas(
     ``v`` is tried only against the trees whose literal ends ``v``, and
     the single word such a tree could map onto ``v`` is the inverse
     tree's output.  A duplicate tree in ``trees`` counts twice.
+
+    A tree that applies to any word equals the inverse of its inverse,
+    and so maps every output of its inverse back onto that output's
+    input: the word found from ``v`` is one the tree maps onto ``v``.
+    A tree with ``inverse(inverse(t)) != t`` applies to nothing and
+    contributes no hit, though it still counts towards the cutoff.
     """
     if not trees:
         raise ValueError("cannot discover lemmas without retained trees")
     cutoff = min_discovery_evidence(len(trees), evidence_factor)
-    buckets: dict[str, list[tuple[EditTree, EditTree]]] = {}
+    buckets: dict[str, list[EditTree]] = {}
     for tree in trees:
-        buckets.setdefault(last_literal(tree), []).append((tree, inverse(tree)))
+        back = inverse(tree)
+        if inverse(back) == tree:
+            buckets.setdefault(last_literal(tree), []).append(back)
     lengths = sorted({len(literal) for literal in buckets})
     hits: Counter = Counter()
     for out in vocab.types:
         for k in lengths:
             if k > len(out):
                 break
-            for tree, back in buckets.get(out[len(out) - k:], ()):
+            for back in buckets.get(out[len(out) - k:], ()):
                 word = apply(back, out)
-                if (word is not None and word in vocab and word not in lexicon
-                        and apply(tree, word) == out):
+                if word is not None and word in vocab and word not in lexicon:
                     hits[word] += 1
     return sorted(word for word, count in hits.items() if count > cutoff)
 

@@ -8,9 +8,21 @@ way end up tagged the same way.
 
 Both algorithms run on bands of sentences padded to a common length,
 so the Python loop over time steps runs once per band rather than once
-per sentence.  A boolean mask marks the real tokens of a band whose
-sentences differ in length; padded steps leave the recursions unchanged
-and add nothing to the sums.
+per sentence.  A band is laid out time-major, (steps, sentences), so
+each step of a recursion reads and writes one contiguous (sentences,
+states) slice.  The sentences of a band ascend in length, so at each
+step those that have already ended are a leading block of columns;
+padded steps leave the recursions unchanged and add nothing to the
+sums.
+
+Each call allocates its float working arrays once, sized for the
+largest band, and every band and EM pass reuses them, so working memory
+is bounded by ``BATCH_TOKENS`` x states whatever the corpus size.  Each
+recursion step runs as a few ufuncs that write into that workspace.
+Row sums are a product with a ones vector, which costs less per call
+than ``sum(axis=...)`` at this size but sums in the linear algebra
+library's order: trained parameters, and the saved models, depend in
+their last digits on that library as well as on ``BATCH_TOKENS``.
 
 Rare word types are collapsed into a single UNK symbol before
 training.  All randomness comes from one seeded generator, so training
@@ -19,6 +31,7 @@ is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +40,9 @@ from .corpus_io import Corpus
 
 _SAVE_VERSION = 1
 
-# Most padded tokens (rows x longest sentence) one band may hold.
-# Training keeps a few float arrays of band tokens x states alive at
-# once, so this bounds the tagger's working memory whatever the corpus
-# size.
+# Most padded tokens (steps x sentences) one band may hold.  The
+# tagger's working arrays are sized for the largest band, so this
+# bounds its working memory whatever the corpus size.
 BATCH_TOKENS = 2048
 
 
@@ -53,20 +65,20 @@ class HmmModel:
 def _batches(
     corpus: Corpus, index: dict[str, int], unk: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Sentences padded into length bands, as (positions, symbols, mask).
+    """Sentences padded into time-major length bands, as (positions, symbols, mask).
 
     The sentences are sorted by length, stably so that equal lengths
     keep corpus order, and packed greedily into bands of at most
-    ``BATCH_TOKENS`` padded tokens (rows x longest); a sentence longer
-    than that is a band of its own.  The rows of a band therefore
-    ascend in length, which ``train_hmm`` relies on.
+    ``BATCH_TOKENS`` padded tokens (longest x sentences); a sentence
+    longer than that is a band of its own.  The columns of a band
+    therefore ascend in length, which ``train_hmm`` relies on.
 
-    ``positions`` and ``symbols`` are (N, L): corpus offsets and
-    emission indices, OOV mapped to UNK.  ``mask`` is (N, L), true at
-    real tokens, or None when every sentence of the band has length L.
-    Padded cells repeat the sentence's last position and symbol, so
-    both arrays stay valid indices; ``positions[mask]`` lists each
-    corpus offset once.
+    ``positions`` and ``symbols`` are (L, N): row t holds step t of
+    every sentence, as corpus offsets and as emission indices, OOV
+    mapped to UNK.  ``mask`` is (L, N), true at real tokens, or None
+    when every sentence of the band has length L.  Padded cells repeat
+    the sentence's last position and symbol, so both arrays stay valid
+    indices; ``positions[mask]`` lists each corpus offset once.
     """
     codes = np.array([index.get(token, unk) for token in corpus.tokens], dtype=np.intp)
     ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
@@ -85,14 +97,30 @@ def _batches(
         padded = rows * lengths[first : first + rows.shape[0]]
         last = first + max(1, int(np.count_nonzero(padded <= BATCH_TOKENS)))
         length = int(lengths[last - 1])
-        positions = starts[first:last, None] + np.arange(length)
+        positions = starts[first:last] + np.arange(length)[:, None]
         mask = None
         if lengths[first] != length:
-            mask = positions < ends[first:last, None]
-            positions = np.minimum(positions, ends[first:last, None] - 1)
+            mask = positions < ends[first:last]
+            positions = np.minimum(positions, ends[first:last] - 1)
         batches.append((positions, codes[positions], mask))
         first = last
     return batches
+
+
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading part of a flat workspace buffer, viewed as ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _finished(mask: np.ndarray | None, length: int) -> list[int]:
+    """Per step of a band, how many of its sentences have already ended.
+
+    The columns of a band ascend in length, so at step t the sentences
+    that have ended are the first ``finished[t]`` columns.
+    """
+    if mask is None:
+        return [0] * length
+    return (mask.shape[1] - np.count_nonzero(mask, axis=1)).tolist()
 
 
 def train_hmm(
@@ -123,7 +151,26 @@ def train_hmm(
     index = {symbol: i for i, symbol in enumerate(symbols)}
     unk = len(symbols)
     width = unk + 1
-    batches = [(obs, mask) for _, obs, mask in _batches(corpus, index, unk)]
+    bands = []
+    for _, obs, mask in _batches(corpus, index, unk):
+        if mask is not None:
+            # Padding reads as symbol ``width``, which every state emits
+            # with probability 1: alpha moves on through it unchanged.
+            obs = np.where(mask, obs, width)
+        bands.append((obs, _finished(mask, obs.shape[0])))
+
+    # One workspace for every band and pass: the emission probabilities
+    # of the band's symbols, the scaled forward and backward variables,
+    # the backward products emit * beta / scale (kept for the xi sum),
+    # and the scales.
+    size = max(obs.size for obs, _ in bands)
+    emit_buf, alpha_buf, beta_buf, weighted_buf = (
+        np.empty(size * states) for _ in range(4)
+    )
+    scale_buf = np.empty(size)
+    emit_table = np.ones((width + 1, states))  # (symbol, state); last row: padding
+    ones = np.ones((states, 1))  # x @ ones sums the rows of x
+    offsets = np.arange(states)
 
     rng = np.random.default_rng(seed)
     start = rng.dirichlet(np.ones(states))
@@ -135,57 +182,66 @@ def train_hmm(
         start_acc = np.zeros(states)
         trans_acc = np.zeros((states, states))
         emit_acc_t = np.zeros((width, states))  # (symbol, state), as bincount fills it
+        emit_table[:width] = emissions.T
+        transitions_t = transitions.T
         ll = 0.0
-        for obs, mask in batches:
-            rows, length = obs.shape
-            emit = emissions.T[obs]  # (N, L, K)
-            if mask is not None:
-                emit[~mask] = 1.0  # padded steps: alpha moves on, scale stays 1
-                # Rows ascend in length, so at step t the first
-                # finished[t] sentences have already ended.
-                finished = rows - np.count_nonzero(mask, axis=0)
-            alpha = np.empty((rows, length, states))
-            scale = np.empty((rows, length))
-            vec = start * emit[:, 0]
-            scale[:, 0] = vec.sum(axis=1)
-            alpha[:, 0] = vec / scale[:, 0, None]
-            for t in range(1, length):
-                vec = (alpha[:, t - 1] @ transitions) * emit[:, t]
-                scale[:, t] = vec.sum(axis=1)
-                alpha[:, t] = vec / scale[:, t, None]
-            beta = np.empty((rows, length, states))
-            beta[:, length - 1] = 1.0
-            for t in range(length - 2, -1, -1):
-                beta[:, t] = (
-                    (emit[:, t + 1] * beta[:, t + 1]) @ transitions.T
-                ) / scale[:, t + 1, None]
-                if mask is not None:
-                    # A sentence ends at its last real step: beta is 1 there.
-                    beta[: finished[t + 1], t] = 1.0
-            gamma = alpha * beta
-            gamma /= gamma.sum(axis=2, keepdims=True)
-            log_scale = np.log(scale)
-            if mask is not None:
-                gamma[~mask] = 0.0
-                log_scale[~mask] = 0.0
+        for obs, finished in bands:
+            length, rows = obs.shape
+            shape = (length, rows, states)
+            emit = _view(emit_buf, shape)
+            alpha = _view(alpha_buf, shape)
+            beta = _view(beta_buf, shape)
+            weighted = _view(weighted_buf, shape)
+            scale = _view(scale_buf, (length, rows, 1))
+            np.take(emit_table, obs, axis=0, out=emit, mode="clip")
 
-            ll += float(log_scale.sum())
-            start_acc += gamma[:, 0].sum(axis=0)
-            cells = obs[:, :, None] * states + np.arange(states)
-            emit_acc_t += np.bincount(
-                cells.ravel(), weights=gamma.ravel(), minlength=width * states
-            ).reshape(width, states)
+            np.multiply(start, emit[0], out=alpha[0])
+            np.dot(alpha[0], ones, out=scale[0])
+            np.divide(alpha[0], scale[0], out=alpha[0])
+            for t in range(1, length):
+                now = alpha[t]
+                np.dot(alpha[t - 1], transitions, out=now)
+                np.multiply(now, emit[t], out=now)
+                np.dot(now, ones, out=scale[t])
+                if finished[t]:
+                    scale[t, : finished[t]] = 1.0  # padding adds no likelihood
+                np.divide(now, scale[t], out=now)
+            beta[length - 1] = 1.0
+            for t in range(length - 1, 0, -1):
+                step = weighted[t]
+                np.multiply(emit[t], beta[t], out=step)
+                np.divide(step, scale[t], out=step)
+                before = beta[t - 1]
+                np.dot(step, transitions_t, out=before)
+                if finished[t]:
+                    # A sentence ends at its last real step: beta is 1
+                    # there, and no transition leads into padding.
+                    before[: finished[t]] = 1.0
+                    step[: finished[t]] = 0.0
+
             if length > 1:
                 # sum_t outer(alpha_t, emit_{t+1} * beta_{t+1} / c_{t+1}),
                 # masked by the transition matrix, is the xi total; one
                 # matmul sums it over every step of every sentence.
-                weighted = (emit[:, 1:] * beta[:, 1:]) / scale[:, 1:, None]
-                if mask is not None:
-                    weighted[~mask[:, 1:]] = 0.0  # no step into padding
                 trans_acc += (
-                    alpha[:, :-1].reshape(-1, states).T
-                    @ weighted.reshape(-1, states)
+                    alpha[:-1].reshape(-1, states).T
+                    @ weighted[1:].reshape(-1, states)
                 ) * transitions
+            ll += float(np.log(scale, out=scale).sum())
+
+            gamma = np.multiply(alpha, beta, out=beta)
+            flat = gamma.reshape(-1, states)
+            # ll and trans_acc have read the scales, so their buffer is
+            # free to hold gamma's normaliser; keep this after both.
+            norm = scale.reshape(-1, 1)
+            np.dot(flat, ones, out=norm)
+            np.divide(flat, norm, out=flat)
+            start_acc += gamma[0].sum(axis=0)
+            # Padded cells fall into the bins past width * states, dropped here.
+            cells = obs[:, :, None] * states + offsets
+            emit_acc_t += np.bincount(
+                cells.ravel(), weights=gamma.ravel(), minlength=width * states
+            )[: width * states].reshape(width, states)
         log_likelihoods.append(ll)
 
         start = start_acc / start_acc.sum()
@@ -221,27 +277,48 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
         log_emit = np.log(model.emissions)
     dead = ~np.isfinite(log_emit).any(axis=0)  # all-zero emission columns
     log_emit[:, dead] = -np.log(states)
-    emit_t = log_emit.T  # (W+1, K)
+    emit_table = np.ascontiguousarray(log_emit.T)  # (W+1, K)
+
+    bands = _batches(corpus, index, unk)
+    size = max((obs.size for _, obs, _ in bands), default=0)
+    widest = max((obs.shape[1] for _, obs, _ in bands), default=0)
+    emit_buf = np.empty(size * states)
+    back_buf = np.empty(size * states, dtype=np.intp)
+    scores_buf = np.empty(widest * states * states)
 
     tags = np.empty(len(corpus), dtype=np.intp)
-    for positions, obs, mask in _batches(corpus, index, unk):
-        rows, length = obs.shape
-        back = np.empty((rows, length, states), dtype=np.intp)
-        delta = log_start + emit_t[obs[:, 0]]
+    for positions, obs, mask in bands:
+        length, rows = obs.shape
+        finished = _finished(mask, length)
+        emit = _view(emit_buf, (length, rows, states))
+        back = _view(back_buf, (length, rows, states))
+        scores = _view(scores_buf, (rows, states, states))  # (N, previous, next)
+        delta = np.empty((rows, states, 1))
+        now = delta[:, :, 0]
+        step = np.empty((rows, states))
+        # Flat offset of scores[n, 0, j], for reading each maximum at its argmax.
+        corner = np.arange(rows)[:, None] * states * states + np.arange(states)
+        pick = np.empty_like(corner)
+        np.take(emit_table, obs, axis=0, out=emit, mode="clip")
+        np.add(log_start, emit[0], out=now)
         for t in range(1, length):
-            scores = delta[:, :, None] + log_trans  # (N, previous, next)
-            back[:, t] = scores.argmax(axis=1)  # first maximum: lower state
-            step = scores.max(axis=1) + emit_t[obs[:, t]]
+            np.add(delta, log_trans, out=scores)
+            np.argmax(scores, axis=1, out=back[t])  # first maximum: lower state
+            np.multiply(back[t], states, out=pick)
+            np.add(pick, corner, out=pick)
+            np.take(scores_buf, pick, out=step)  # scores[n, back[t, n, j], j]
+            np.add(step, emit[t], out=step)
             # Past a sentence's end its delta stays as the end left it.
-            delta = step if mask is None else np.where(mask[:, t, None], step, delta)
-        state = delta.argmax(axis=1)
+            f = finished[t]
+            now[f:] = step[f:]
+        path = np.empty((length, rows), dtype=np.intp)
+        np.argmax(now, axis=1, out=path[length - 1])
         every = np.arange(rows)
-        path = np.empty((rows, length), dtype=np.intp)
-        path[:, length - 1] = state
         for t in range(length - 1, 0, -1):
-            step = back[every, t, state]
-            state = step if mask is None else np.where(mask[:, t], step, state)
-            path[:, t - 1] = state
+            path[t - 1] = back[t][every, path[t]]
+            f = finished[t]
+            if f:
+                path[t - 1, :f] = path[t, :f]
         if mask is None:
             tags[positions] = path
         else:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import accumulate
 from unittest import mock
 
@@ -285,7 +286,9 @@ def test_clause_corpus_has_every_length():
     assert 2000 <= len(corpus) < 2036
 
 
-@pytest.mark.parametrize("budget", [None, 20], ids=["default-budget", "below-longest"])
+@pytest.mark.parametrize(
+    "budget", [None, 20, 7], ids=["default-budget", "below-longest", "budget-7"]
+)
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -316,9 +319,9 @@ def assert_bands_partition(corpus, budget):
     seen = []
     taken = 0
     for positions, symbols, mask in bands:
-        rows, length = positions.shape
+        length, rows = positions.shape  # time-major: one row per step
         # Stable sort by length, then greedy: no band could take the next one.
-        assert positions[:, 0].tolist() == starts[taken : taken + rows].tolist()
+        assert positions[0].tolist() == starts[taken : taken + rows].tolist()
         band_lengths = lengths[taken : taken + rows]
         taken += rows
         assert length == band_lengths.max()
@@ -330,9 +333,10 @@ def assert_bands_partition(corpus, budget):
             mask = np.ones_like(positions, dtype=bool)
         else:
             assert (band_lengths < length).any()
-        assert mask.sum(axis=1).tolist() == band_lengths.tolist()
-        assert (mask[:, :-1] >= mask[:, 1:]).all()  # real tokens first
-        assert (np.diff(positions, axis=1)[mask[:, 1:]] == 1).all()
+        assert mask.shape == positions.shape == symbols.shape
+        assert mask.sum(axis=0).tolist() == band_lengths.tolist()
+        assert (mask[:-1] >= mask[1:]).all()  # real tokens first
+        assert (np.diff(positions, axis=0)[mask[1:]] == 1).all()
         assert ((0 <= positions) & (positions < len(corpus))).all()
         assert symbols.tolist() == codes[positions].tolist()
         seen += positions[mask].tolist()
@@ -358,9 +362,10 @@ def test_uniform_lengths_give_unmasked_length_groups(budget):
     assert len(bands) == -(-sentences // rows)
     for i, (positions, symbols, mask) in enumerate(bands):
         assert mask is None
-        chunk = firsts[i * rows : (i + 1) * rows, None] + np.arange(3)
+        # Time-major: row t holds step t of every sentence in the band.
+        chunk = firsts[i * rows : (i + 1) * rows] + np.arange(3)[:, None]
         assert positions.tolist() == chunk.tolist()
-        assert symbols.tolist() == [[0, 1, 2]] * chunk.shape[0]
+        assert symbols.tolist() == [[code] * chunk.shape[1] for code in (0, 1, 2)]
 
 
 @st.composite
@@ -397,3 +402,21 @@ def test_batched_tagger_matches_loop_on_random_corpora(
             seed=seed,
             unk_threshold=unk_threshold,
         )
+
+
+def test_training_memory_is_bounded_by_the_band_budget(monkeypatch):
+    budget, states = 256, 64
+    monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
+    corpus = clause_corpus(tokens=8192)
+    assert len(tagger._batches(corpus, {}, 0)) >= 20
+    # Sixteen band-sized float arrays.  One float array of corpus tokens x
+    # states would not fit, so working memory must not grow with the corpus.
+    bound = 16 * budget * states * 8
+    assert len(corpus) * states * 8 > bound
+    tracemalloc.start()
+    try:
+        train_hmm(corpus, states=states, iterations=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
