@@ -68,7 +68,6 @@ def discover_new_lemmas(
 class BootstrapResult:
     lexicon: WeightedLexicon
     trees: list[EditTree]
-    candidates: dict[str, list[str]]
     census: TreeCensus
 
 
@@ -110,8 +109,7 @@ def bootstrap(
         fresh = find_candidates(
             WeightedLexicon(lexicon.entries[counted:]), vocab, candidate_ratio
         )
-        candidates = {**candidates, **fresh}
         trees, census = retain_frequent_trees(
             fresh, lexicon, tree_support_factor, census
         )
-    return BootstrapResult(lexicon, trees, candidates, census)
+    return BootstrapResult(lexicon, trees, census)

@@ -68,18 +68,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, mode="eval")
-    result = run_pipeline(
-        config, gold_path=args.gold, predictions_path=args.predictions
-    )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(result.report)
-    sys.stdout.write(result.report)
-    return 0
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
     language = generate_language(
         slots=args.slots,
@@ -152,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--report", help="write the report here")
     _add_config_flags(ev)
-    ev.set_defaults(func=_cmd_eval)
+    ev.set_defaults(func=_cmd_run, mode="eval", corpus=None, lemmas=None, out=None)
 
     synth = sub.add_parser("synth", help="generate a synthetic language")
     synth.add_argument("--slots", type=int, default=4)

@@ -52,6 +52,23 @@ class Vocabulary:
         return self.counts.keys()
 
 
+def _lines(path: str):
+    """Yield (line number, text) for each line of a UTF-8 file.
+
+    Only a newline ends a line, and the line keeps it; a lone carriage
+    return does not.  Invalid UTF-8 is an error naming the file and line.
+    """
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
+                ) from exc
+            yield lineno, line
+
+
 def load_corpus(path: str) -> tuple[Corpus, Vocabulary]:
     """Read a one-sentence-per-line corpus file.
 
@@ -61,20 +78,13 @@ def load_corpus(path: str) -> tuple[Corpus, Vocabulary]:
     tokens: list[str] = []
     boundaries: list[int] = []
     counts: Counter = Counter()
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
-                ) from exc
-            words = line.lower().split()
-            if not words:
-                continue
-            tokens.extend(words)
-            counts.update(words)
-            boundaries.append(len(tokens))
+    for _, line in _lines(path):
+        words = line.lower().split()
+        if not words:
+            continue
+        tokens.extend(words)
+        counts.update(words)
+        boundaries.append(len(tokens))
     return Corpus(tokens, boundaries), Vocabulary(counts)
 
 
@@ -88,25 +98,18 @@ def load_lexicon(path: str) -> list[str]:
     """
     lemmas: list[str] = []
     seen: set[str] = set()
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
-                ) from exc
-            lemma = line.strip().lower()
-            if not lemma:
-                continue
-            if len(lemma.split()) > 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: lemma {lemma!r} contains whitespace"
-                )
-            if lemma in seen:
-                continue
-            seen.add(lemma)
-            lemmas.append(lemma)
+    for lineno, line in _lines(path):
+        lemma = line.strip().lower()
+        if not lemma:
+            continue
+        if len(lemma.split()) > 1:
+            raise ValueError(
+                f"{path}: line {lineno}: lemma {lemma!r} contains whitespace"
+            )
+        if lemma in seen:
+            continue
+        seen.add(lemma)
+        lemmas.append(lemma)
     if not lemmas:
         raise ValueError(f"{path}: lexicon is empty")
     return lemmas
@@ -119,36 +122,29 @@ def load_gold(path: str) -> dict[str, dict[str, str]]:
     pair is an error reported with its row number.
     """
     table: dict[str, dict[str, str]] = {}
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"
-                ) from exc
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            lemma, form, slot = fields
-            lemma = lemma.strip().lower()
-            form = form.strip().lower()
-            slot = slot.strip()
-            if not lemma or not form or not slot:
-                raise ValueError(f"{path}: line {lineno}: empty field")
-            row = table.setdefault(lemma, {})
-            if slot in row:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate entry for "
-                    f"({lemma!r}, {slot!r})"
-                )
-            row[slot] = form
+    for lineno, line in _lines(path):
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 3 tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        lemma, form, slot = fields
+        lemma = lemma.strip().lower()
+        form = form.strip().lower()
+        slot = slot.strip()
+        if not lemma or not form or not slot:
+            raise ValueError(f"{path}: line {lineno}: empty field")
+        row = table.setdefault(lemma, {})
+        if slot in row:
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate entry for "
+                f"({lemma!r}, {slot!r})"
+            )
+        row[slot] = form
     if not table:
         raise ValueError(f"{path}: gold table is empty")
     return table
@@ -168,33 +164,33 @@ def write_predictions(predictions: dict[str, dict[int, str]], path: str) -> None
 
 
 def read_predictions(path: str) -> dict[str, dict[int, str]]:
-    """Inverse of write_predictions."""
+    """Inverse of write_predictions; the lemma and form are lowercased."""
     table: dict[str, dict[int, str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            lemma, form, slot_text = fields
-            # An empty form is a legal prediction; an empty lemma is not.
-            if not lemma:
-                raise ValueError(f"{path}: line {lineno}: empty lemma")
-            try:
-                slot = int(slot_text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: slot id {slot_text!r} is not an integer"
-                ) from None
-            row = table.setdefault(lemma, {})
-            if slot in row:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate entry for ({lemma!r}, {slot})"
-                )
-            row[slot] = form
+    for lineno, line in _lines(path):
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 3 tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        lemma, form, slot_text = fields
+        lemma, form = lemma.lower(), form.lower()
+        # An empty form is a legal prediction; an empty lemma is not.
+        if not lemma:
+            raise ValueError(f"{path}: line {lineno}: empty lemma")
+        try:
+            slot = int(slot_text)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: slot id {slot_text!r} is not an integer"
+            ) from None
+        row = table.setdefault(lemma, {})
+        if slot in row:
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate entry for ({lemma!r}, {slot})"
+            )
+        row[slot] = form
     return table

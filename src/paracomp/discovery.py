@@ -75,12 +75,10 @@ def find_candidates(
 class TreeCensus:
     """Bookkeeping from tree extraction.
 
-    ``weights`` maps every constructed tree to its weighted support;
-    ``support`` maps it to the (lemma, word) pairs that produced it.
+    ``weights`` maps every constructed tree to its weighted support.
     """
 
     weights: dict[EditTree, float]
-    support: dict[EditTree, list[tuple[str, str]]]
 
 
 def retain_frequent_trees(
@@ -100,14 +98,12 @@ def retain_frequent_trees(
     then by serialized form.
     """
     if census is None:
-        census = TreeCensus({}, {})
+        census = TreeCensus({})
     weights = census.weights
-    support = census.support
     for entry in lexicon:
         for word in candidates.get(entry.lemma, ()):
             tree = construct(entry.lemma, word)
             weights[tree] = weights.get(tree, 0.0) + entry.weight
-            support.setdefault(tree, []).append((entry.lemma, word))
     cutoff = min_tree_support(lexicon.effective_size(), support_factor)
     kept = [tree for tree, weight in weights.items() if weight >= cutoff]
     kept.sort(key=lambda tree: (-weights[tree], to_sexpr(tree)))

@@ -17,6 +17,7 @@ Any failure is wrapped in StageError naming the stage that died.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -24,8 +25,6 @@ from time import perf_counter
 from .bootstrap import BootstrapResult, bootstrap
 from .config import Config
 from .corpus_io import (
-    Corpus,
-    Vocabulary,
     load_corpus,
     load_gold,
     load_lexicon,
@@ -150,13 +149,7 @@ def run_pipeline(
             result.rules = extract_affix_rules(triples)
             labels = sorted(result.rules.slots, key=str)
         with _stage("generate", timings):
-            predictions: dict[str, dict[int, str]] = {}
-            for lemma in lemmas:
-                row = {}
-                for slot_id, label in enumerate(labels, start=1):
-                    row[slot_id] = inflect(result.rules, label, lemma)
-                predictions[lemma] = row
-            result.predictions = predictions
+            result.predictions = _generate_predictions(result.rules, lemmas, labels)
             result.slot_count = len(labels)
     elif mode in _TREE_MODES or mode in _FULL_MODES:
         with _stage("load", timings):
@@ -203,12 +196,13 @@ def run_pipeline(
                     boot.lexicon,
                     merge_threshold=config.merge_threshold,
                     window=config.context_window,
-                    vocab=vocab,
                 )
             with _stage("generate", timings):
                 result.rules = _slot_rules(result.slots, boot.lexicon)
                 result.predictions = _generate_predictions(
-                    result.rules, boot.lexicon.gold_lemmas(), len(result.slots)
+                    result.rules,
+                    boot.lexicon.gold_lemmas(),
+                    range(1, len(result.slots) + 1),
                 )
                 result.slot_count = len(result.slots)
     else:  # pragma: no cover - guarded by config.validate()
@@ -256,12 +250,13 @@ def _slot_rules(slots: list[SlotState], lexicon: WeightedLexicon) -> RuleTable:
 
 
 def _generate_predictions(
-    rules: RuleTable, lemmas: list[str], slot_count: int
+    rules: RuleTable, lemmas: list[str], labels: Sequence
 ) -> dict[str, dict[int, str]]:
+    """Every lemma inflected for every slot: id i uses the rules of labels[i-1]."""
     return {
         lemma: {
-            slot_id: inflect(rules, slot_id, lemma)
-            for slot_id in range(1, slot_count + 1)
+            slot_id: inflect(rules, label, lemma)
+            for slot_id, label in enumerate(labels, start=1)
         }
         for lemma in lemmas
     }

@@ -104,7 +104,6 @@ def group_surface_changes(
     lexicon: WeightedLexicon,
     merge_threshold: float = 0.3,
     window: int = 3,
-    vocab=None,
 ) -> tuple[list[SlotState], list[MergeEvent]]:
     """Greedy slot merging.
 
@@ -124,7 +123,7 @@ def group_surface_changes(
         raise ValueError(
             f"tag count {len(tags)} does not match corpus length {len(corpus)}"
         )
-    attested = set(vocab.types) if vocab is not None else set(corpus.tokens)
+    attested = set(corpus.tokens)
     counts = context_counts(corpus, tags, radius)
 
     slots = []

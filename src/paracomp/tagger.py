@@ -64,7 +64,7 @@ class HmmModel:
 
 def _batches(
     corpus: Corpus, index: dict[str, int], unk: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Sentences padded into time-major length bands, as (positions, symbols, mask).
 
     The sentences are sorted by length, stably so that equal lengths
@@ -75,10 +75,10 @@ def _batches(
 
     ``positions`` and ``symbols`` are (L, N): row t holds step t of
     every sentence, as corpus offsets and as emission indices, OOV
-    mapped to UNK.  ``mask`` is (L, N), true at real tokens, or None
-    when every sentence of the band has length L.  Padded cells repeat
-    the sentence's last position and symbol, so both arrays stay valid
-    indices; ``positions[mask]`` lists each corpus offset once.
+    mapped to UNK.  ``mask`` is (L, N) and true at real tokens, so it is
+    all true when every sentence of the band has length L.  Padded cells
+    repeat the sentence's last position and symbol, so both arrays stay
+    valid indices; ``positions[mask]`` lists each corpus offset once.
     """
     codes = np.array([index.get(token, unk) for token in corpus.tokens], dtype=np.intp)
     ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
@@ -98,10 +98,8 @@ def _batches(
         last = first + max(1, int(np.count_nonzero(padded <= BATCH_TOKENS)))
         length = int(lengths[last - 1])
         positions = starts[first:last] + np.arange(length)[:, None]
-        mask = None
-        if lengths[first] != length:
-            mask = positions < ends[first:last]
-            positions = np.minimum(positions, ends[first:last] - 1)
+        mask = positions < ends[first:last]
+        positions = np.minimum(positions, ends[first:last] - 1)
         batches.append((positions, codes[positions], mask))
         first = last
     return batches
@@ -112,14 +110,12 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _finished(mask: np.ndarray | None, length: int) -> list[int]:
+def _finished(mask: np.ndarray) -> list[int]:
     """Per step of a band, how many of its sentences have already ended.
 
     The columns of a band ascend in length, so at step t the sentences
     that have ended are the first ``finished[t]`` columns.
     """
-    if mask is None:
-        return [0] * length
     return (mask.shape[1] - np.count_nonzero(mask, axis=1)).tolist()
 
 
@@ -153,11 +149,9 @@ def train_hmm(
     width = unk + 1
     bands = []
     for _, obs, mask in _batches(corpus, index, unk):
-        if mask is not None:
-            # Padding reads as symbol ``width``, which every state emits
-            # with probability 1: alpha moves on through it unchanged.
-            obs = np.where(mask, obs, width)
-        bands.append((obs, _finished(mask, obs.shape[0])))
+        # Padding reads as symbol ``width``, which every state emits
+        # with probability 1: alpha moves on through it unchanged.
+        bands.append((np.where(mask, obs, width), _finished(mask)))
 
     # One workspace for every band and pass: the emission probabilities
     # of the band's symbols, the scaled forward and backward variables,
@@ -289,7 +283,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     tags = np.empty(len(corpus), dtype=np.intp)
     for positions, obs, mask in bands:
         length, rows = obs.shape
-        finished = _finished(mask, length)
+        finished = _finished(mask)
         emit = _view(emit_buf, (length, rows, states))
         back = _view(back_buf, (length, rows, states))
         scores = _view(scores_buf, (rows, states, states))  # (N, previous, next)
@@ -319,10 +313,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
             f = finished[t]
             if f:
                 path[t - 1, :f] = path[t, :f]
-        if mask is None:
-            tags[positions] = path
-        else:
-            tags[positions[mask]] = path[mask]
+        tags[positions[mask]] = path[mask]
     return tags.tolist()
 
 

@@ -81,4 +81,4 @@ def bootstrap(
         trees, census = retain_frequent_trees(
             candidates, lexicon, tree_support_factor
         )
-    return BootstrapResult(lexicon, trees, candidates, census)
+    return BootstrapResult(lexicon, trees, census)

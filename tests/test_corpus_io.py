@@ -1,5 +1,6 @@
 import pytest
 
+from paracomp.config import Config
 from paracomp.corpus_io import (
     load_corpus,
     load_gold,
@@ -8,6 +9,7 @@ from paracomp.corpus_io import (
     write_predictions,
 )
 from paracomp.inflection import extract_affix_rules, inflect
+from paracomp.pipeline import run_pipeline
 
 
 def test_load_corpus_basic(tmp_path):
@@ -132,3 +134,32 @@ def test_empty_predicted_form_round_trips(tmp_path):
     path = tmp_path / "pred.tsv"
     write_predictions(predictions, str(path))
     assert read_predictions(str(path)) == predictions
+
+
+def test_read_predictions_lowercases_lemma_and_form(tmp_path):
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("Walk\tWalked\t1\n", encoding="utf-8")
+    assert read_predictions(str(pred)) == {"walk": {1: "walked"}}
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("walk\twalked\tPST\n", encoding="utf-8")
+    result = run_pipeline(
+        Config(mode="eval"), gold_path=str(gold), predictions_path=str(pred)
+    )
+    assert result.scores.macro == 1.0
+
+
+@pytest.mark.parametrize(
+    "reader", [load_corpus, load_lexicon, load_gold, read_predictions]
+)
+def test_readers_name_path_and_line_of_bad_utf8(tmp_path, reader):
+    path = tmp_path / "input.tsv"
+    path.write_bytes(b"\n\xff\xfe\tx\t1\n")
+    with pytest.raises(ValueError, match=r"input\.tsv: line 2: invalid UTF-8"):
+        reader(str(path))
+
+
+def test_read_predictions_splits_rows_at_newlines_only(tmp_path):
+    path = tmp_path / "pred.tsv"
+    path.write_bytes(b"walk\twalked\t1\r\ntalk\ttalked\t1\rtalk\ttalks\t2\n")
+    with pytest.raises(ValueError, match="line 2: expected 3 tab-separated"):
+        read_predictions(str(path))

@@ -11,7 +11,7 @@ from paracomp.discovery import (
     min_tree_support,
     retain_frequent_trees,
 )
-from paracomp.edit_tree import IDENTITY, Match, Replace, to_sexpr
+from paracomp.edit_tree import IDENTITY, Match, Replace, construct, to_sexpr
 from paracomp.lexicon import WeightedLexicon
 from paracomp.synth import generate_language
 
@@ -139,9 +139,7 @@ def test_retain_frequent_trees_toy():
     trees, census = retain_frequent_trees(candidates, lexicon, 0.05)
     # cutoff is max(2, 0.05*2) = 2; both trees sit exactly at 2 and are kept.
     assert trees == [IDENTITY, APPEND_ED]
-    assert census.weights[APPEND_ED] == 2.0
-    assert census.support[APPEND_ED] == [("walk", "walked"), ("work", "worked")]
-    assert census.support[IDENTITY] == [("walk", "walk"), ("work", "work")]
+    assert census.weights == {IDENTITY: 2.0, APPEND_ED: 2.0}
 
 
 def test_retain_cutoff_excludes_below():
@@ -164,9 +162,12 @@ def test_census_counts_weighted_lemmas():
     assert census.weights[APPEND_ED] == 1.5
     assert census.weights[IDENTITY] == 1.5
     for tree, weight in census.weights.items():
-        supports = census.support[tree]
+        producers = [
+            lemma for lemma, words in candidates.items()
+            for word in words if construct(lemma, word) == tree
+        ]
         assert weight == pytest.approx(
-            sum(lexicon.weight(lemma) for lemma, _ in supports)
+            sum(lexicon.weight(lemma) for lemma in producers)
         )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import os
+import re
 import tempfile
 
 import pytest
@@ -12,6 +13,8 @@ from paracomp.config import Config, build_config, parse_config_file
 from paracomp.corpus_io import read_predictions
 from paracomp.pipeline import StageError, run_pipeline
 from paracomp.synth import generate_language
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +143,19 @@ class TestConfig:
     def test_build_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config key"):
             build_config({"bogus": 1})
+
+    def test_readme_configuration_table_matches_fields(self):
+        # Every option is documented with its default, and every documented
+        # option exists.
+        with open(README, encoding="utf-8") as handle:
+            text = handle.read()
+        section = text.split("### Configuration", 1)[1].split("\n###", 1)[0]
+        rows = dict(re.findall(r"^\| `(\w+)` *\| *([^ |]+) *\|", section, re.M))
+        defaults = {
+            field.name: str(field.default).lower()
+            for field in dataclasses.fields(Config) if field.name != "mode"
+        }
+        assert rows == defaults
 
 
 class TestTreeModes:
@@ -425,11 +441,16 @@ class TestCli:
             ]
         ) == 0
         capsys.readouterr()
+        report = tmp_path / "report.txt"
         code = main(
-            ["eval", "--gold", lang_paths["gold"], "--predictions", str(out)]
+            ["eval", "--gold", lang_paths["gold"], "--predictions", str(out),
+             "--report", str(report)]
         )
         assert code == 0
-        assert "bmacc macro: 40.00 (5)" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "mode: eval" in stdout
+        assert "bmacc macro: 40.00 (5)" in stdout
+        assert report.read_text(encoding="utf-8") == stdout
 
     def test_config_file_and_flag_precedence(self, lang_paths, tmp_path):
         cfg = tmp_path / "run.cfg"

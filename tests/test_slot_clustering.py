@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slot_clustering_oracle as oracle
-from paracomp.corpus_io import Corpus, Vocabulary
+from paracomp.corpus_io import Corpus
 from paracomp.edit_tree import Match, Replace, construct
 from paracomp.lexicon import WeightedLexicon
 from paracomp.slot_clustering import (
@@ -220,21 +220,6 @@ def test_unattested_forms_are_dropped():
     assert slots[1].lemma_forms == {}
     want = assert_matches_oracle(trees, corpus, tags, lexicon, states=4, window=3)
     assert not want[1].features.any()
-
-
-def test_explicit_vocabulary_overrides_corpus_tokens():
-    corpus = corpus_of(["xa", "aa", "we"], ["xa", "bb", "we"])
-    tags = [0, 1, 2] * 2
-    lexicon = WeightedLexicon.from_lemmas(["na", "mo"])
-    vocab = Vocabulary()
-    vocab.counts.update(["aa"])
-    slots, _ = group_surface_changes(
-        [Replace("na", "aa"), Replace("mo", "bb")], corpus, tags, lexicon,
-        window=3, vocab=vocab,
-    )
-    # "bb" occurs in the corpus but not in the supplied vocabulary.
-    assert slots[0].lemma_forms == {"na": "aa"}
-    assert slots[1].lemma_forms == {}
 
 
 def test_argument_validation():

@@ -328,11 +328,6 @@ def assert_bands_partition(corpus, budget):
         assert rows * length <= budget or rows == 1
         if taken < len(lengths):
             assert (rows + 1) * lengths[taken] > budget
-        if mask is None:
-            assert (band_lengths == length).all()
-            mask = np.ones_like(positions, dtype=bool)
-        else:
-            assert (band_lengths < length).any()
         assert mask.shape == positions.shape == symbols.shape
         assert mask.sum(axis=0).tolist() == band_lengths.tolist()
         assert (mask[:-1] >= mask[1:]).all()  # real tokens first
@@ -361,7 +356,7 @@ def test_uniform_lengths_give_unmasked_length_groups(budget):
     firsts = np.arange(0, 3 * sentences, 3)
     assert len(bands) == -(-sentences // rows)
     for i, (positions, symbols, mask) in enumerate(bands):
-        assert mask is None
+        assert mask.shape == positions.shape and mask.all()  # nothing padded
         # Time-major: row t holds step t of every sentence in the band.
         chunk = firsts[i * rows : (i + 1) * rows] + np.arange(3)[:, None]
         assert positions.tolist() == chunk.tolist()
