@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .corpus_io import _lines
+
 MODES = (
     "pcs-i",
     "pcs-ii-a",
@@ -105,25 +107,22 @@ def _coerce(name: str, text: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read ``key = value`` lines into typed values."""
+    """Read ``key = value`` lines, decoded as every input is, into typed values."""
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'key = value'"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = _coerce(key, value)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, raw in _lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _coerce(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return values
 
 

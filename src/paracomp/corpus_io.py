@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass
@@ -77,15 +78,12 @@ def load_corpus(path: str) -> tuple[Corpus, Vocabulary]:
     """
     tokens: list[str] = []
     boundaries: list[int] = []
-    counts: Counter = Counter()
     for _, line in _lines(path):
         words = line.lower().split()
-        if not words:
-            continue
-        tokens.extend(words)
-        counts.update(words)
-        boundaries.append(len(tokens))
-    return Corpus(tokens, boundaries), Vocabulary(counts)
+        if words:
+            tokens.extend(words)
+            boundaries.append(len(tokens))
+    return Corpus(tokens, boundaries), Vocabulary(Counter(tokens))
 
 
 def load_lexicon(path: str) -> list[str]:
@@ -115,46 +113,58 @@ def load_lexicon(path: str) -> list[str]:
     return lemmas
 
 
-def load_gold(path: str) -> dict[str, dict[str, str]]:
-    """Read a gold inflection table: lemma<TAB>form<TAB>slot-label rows.
+def _read_table(path: str, cell) -> dict[str, dict]:
+    """Read lemma<TAB>form<TAB>slot rows into {lemma: {slot: form}}.
 
-    Returns {lemma: {slot_label: form}}.  A duplicate (lemma, slot)
-    pair is an error reported with its row number.
+    ``cell`` checks and converts the fields of a row.  Bad rows, and a
+    repeated (lemma, slot) pair, are errors naming the file and line.
     """
-    table: dict[str, dict[str, str]] = {}
+    table: dict[str, dict] = {}
     for lineno, line in _lines(path):
         line = line.rstrip("\r\n")
         if not line.strip():
             continue
+        where = f"{path}: line {lineno}"
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                f"got {len(fields)}"
+                f"{where}: expected 3 tab-separated fields, got {len(fields)}"
             )
-        lemma, form, slot = fields
-        lemma = lemma.strip().lower()
-        form = form.strip().lower()
-        slot = slot.strip()
-        if not lemma or not form or not slot:
-            raise ValueError(f"{path}: line {lineno}: empty field")
+        try:
+            lemma, form, slot = cell(*fields)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         row = table.setdefault(lemma, {})
         if slot in row:
-            raise ValueError(
-                f"{path}: line {lineno}: duplicate entry for "
-                f"({lemma!r}, {slot!r})"
-            )
+            raise ValueError(f"{where}: duplicate entry for ({lemma!r}, {slot!r})")
         row[slot] = form
+    return table
+
+
+def _gold_cell(lemma: str, form: str, slot: str) -> tuple[str, str, str]:
+    lemma, form, slot = lemma.strip().lower(), form.strip().lower(), slot.strip()
+    if not lemma or not form or not slot:
+        raise ValueError("empty field")
+    return lemma, form, slot
+
+
+def load_gold(path: str) -> dict[str, dict[str, str]]:
+    """Read a gold inflection table: lemma<TAB>form<TAB>slot-label rows.
+
+    Returns {lemma: {slot_label: form}}.  Fields are stripped and must
+    not be empty; a duplicate (lemma, slot) pair is an error.
+    """
+    table = _read_table(path, _gold_cell)
     if not table:
         raise ValueError(f"{path}: gold table is empty")
     return table
 
 
-def write_predictions(predictions: dict[str, dict[int, str]], path: str) -> None:
-    """Write predictions as lemma<TAB>form<TAB>slot-id rows.
+def write_predictions(predictions: dict[str, dict[Any, str]], path: str) -> None:
+    """Write lemma<TAB>form<TAB>slot rows; a slot is an id or a gold label.
 
-    Rows are sorted by lemma, then slot id, so identical predictions
-    always serialize to identical bytes.
+    Rows are sorted by lemma, then slot, so identical tables always
+    serialize to identical bytes.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for lemma in sorted(predictions):
@@ -163,34 +173,16 @@ def write_predictions(predictions: dict[str, dict[int, str]], path: str) -> None
                 handle.write(f"{lemma}\t{row[slot]}\t{slot}\n")
 
 
+def _prediction_cell(lemma: str, form: str, slot: str) -> tuple[str, str, int]:
+    # An empty form is a legal prediction; an empty lemma is not.
+    if not lemma:
+        raise ValueError("empty lemma")
+    try:
+        return lemma.lower(), form.lower(), int(slot)
+    except ValueError:
+        raise ValueError(f"slot id {slot!r} is not an integer") from None
+
+
 def read_predictions(path: str) -> dict[str, dict[int, str]]:
     """Inverse of write_predictions; the lemma and form are lowercased."""
-    table: dict[str, dict[int, str]] = {}
-    for lineno, line in _lines(path):
-        line = line.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                f"got {len(fields)}"
-            )
-        lemma, form, slot_text = fields
-        lemma, form = lemma.lower(), form.lower()
-        # An empty form is a legal prediction; an empty lemma is not.
-        if not lemma:
-            raise ValueError(f"{path}: line {lineno}: empty lemma")
-        try:
-            slot = int(slot_text)
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: slot id {slot_text!r} is not an integer"
-            ) from None
-        row = table.setdefault(lemma, {})
-        if slot in row:
-            raise ValueError(
-                f"{path}: line {lineno}: duplicate entry for ({lemma!r}, {slot})"
-            )
-        row[slot] = form
-    return table
+    return _read_table(path, _prediction_cell)

@@ -83,6 +83,12 @@ def _stage(name: str, timings: list[tuple[str, float]]):
         timings.append((name, perf_counter() - started))
 
 
+def _require(value, stage: str, message: str) -> None:
+    """Fail ``stage`` with ``message`` if ``value`` is None."""
+    if value is None:
+        raise StageError(stage, ValueError(message))
+
+
 def run_pipeline(
     config: Config,
     corpus_path: str | None = None,
@@ -96,6 +102,8 @@ def run_pipeline(
     mode = config.mode
     timings: list[tuple[str, float]] = []
     result = PipelineResult(mode, {}, 0, timings)
+    if mode != "eval":  # every other mode reads a lemma list
+        _require(lexicon_path, "load", f"{mode} mode needs a lemma file")
 
     gold = None
     if gold_path is not None:
@@ -103,12 +111,10 @@ def run_pipeline(
             gold = load_gold(gold_path)
 
     if mode == "eval":
-        if gold is None:
-            raise StageError("load-gold", ValueError("eval mode needs a gold table"))
-        if predictions_path is None:
-            raise StageError(
-                "load-predictions", ValueError("eval mode needs a prediction file")
-            )
+        _require(gold, "load-gold", "eval mode needs a gold table")
+        _require(
+            predictions_path, "load-predictions", "eval mode needs a prediction file"
+        )
         with _stage("load-predictions", timings):
             result.predictions = read_predictions(predictions_path)
         result.slot_count = len(
@@ -119,8 +125,7 @@ def run_pipeline(
             lemmas = load_lexicon(lexicon_path)
         with _stage("baseline", timings):
             if config.baseline_truth:
-                if gold is None:
-                    raise ValueError("baseline_truth needs a gold table")
+                _require(gold, "baseline", "baseline_truth needs a gold table")
                 slot_count = len({slot for row in gold.values() for slot in row})
             else:
                 slot_count = config.baseline_slots
@@ -129,10 +134,7 @@ def run_pipeline(
     elif mode == "conll17-k":
         with _stage("load", timings):
             lemmas = load_lexicon(lexicon_path)
-        if gold is None:
-            raise StageError(
-                "load-gold", ValueError("conll17-k mode needs a gold table")
-            )
+        _require(gold, "load-gold", "conll17-k mode needs a gold table")
         with _stage("sample", timings):
             pool = sorted(gold)
             if config.shots > len(pool):
@@ -152,6 +154,7 @@ def run_pipeline(
             result.predictions = _generate_predictions(result.rules, lemmas, labels)
             result.slot_count = len(labels)
     elif mode in _TREE_MODES or mode in _FULL_MODES:
+        _require(corpus_path, "load", f"{mode} mode needs a corpus file")
         with _stage("load", timings):
             corpus, vocab = load_corpus(corpus_path)
             seed_lemmas = load_lexicon(lexicon_path)

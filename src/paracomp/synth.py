@@ -19,6 +19,8 @@ import os
 import random
 from dataclasses import dataclass
 
+from .corpus_io import write_predictions
+
 _CONSONANTS = "bdgklmnprstv"
 _VOWELS = "aeiou"
 #: Marker word per slot (slot s uses _MARKERS[s-1]).
@@ -60,11 +62,7 @@ class SyntheticLanguage:
         with open(lexicon_path, "w", encoding="utf-8", newline="\n") as handle:
             for lemma in self.lexicon:
                 handle.write(lemma + "\n")
-        with open(gold_path, "w", encoding="utf-8", newline="\n") as handle:
-            for lemma in sorted(self.gold):
-                row = self.gold[lemma]
-                for slot in sorted(row):
-                    handle.write(f"{lemma}\t{row[slot]}\t{slot}\n")
+        write_predictions(self.gold, gold_path)
         return corpus_path, lexicon_path, gold_path
 
 

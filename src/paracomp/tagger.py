@@ -32,6 +32,7 @@ is reproducible.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,22 +64,21 @@ class HmmModel:
 
 
 def _batches(
-    corpus: Corpus, index: dict[str, int], unk: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Sentences padded into time-major length bands, as (positions, symbols, mask).
+    corpus: Corpus, index: dict[str, int], unk: int, pad: int
+) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """Time-major length bands of padded sentences: (positions, symbols, finished).
 
     The sentences are sorted by length, stably so that equal lengths
     keep corpus order, and packed greedily into bands of at most
     ``BATCH_TOKENS`` padded tokens (longest x sentences); a sentence
     longer than that is a band of its own.  The columns of a band
-    therefore ascend in length, which ``train_hmm`` relies on.
+    therefore ascend in length, so at step t the sentences that have
+    already ended are its first ``finished[t]`` columns.
 
     ``positions`` and ``symbols`` are (L, N): row t holds step t of
     every sentence, as corpus offsets and as emission indices, OOV
-    mapped to UNK.  ``mask`` is (L, N) and true at real tokens, so it is
-    all true when every sentence of the band has length L.  Padded cells
-    repeat the sentence's last position and symbol, so both arrays stay
-    valid indices; ``positions[mask]`` lists each corpus offset once.
+    mapped to ``unk``.  Padded cells hold ``pad`` and repeat the
+    sentence's last position, so positions stay valid indices.
     """
     codes = np.array([index.get(token, unk) for token in corpus.tokens], dtype=np.intp)
     ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
@@ -96,11 +96,12 @@ def _batches(
         rows = np.arange(1, min(count - first, BATCH_TOKENS) + 1)
         padded = rows * lengths[first : first + rows.shape[0]]
         last = first + max(1, int(np.count_nonzero(padded <= BATCH_TOKENS)))
-        length = int(lengths[last - 1])
-        positions = starts[first:last] + np.arange(length)[:, None]
-        mask = positions < ends[first:last]
-        positions = np.minimum(positions, ends[first:last] - 1)
-        batches.append((positions, codes[positions], mask))
+        steps = np.arange(lengths[last - 1])[:, None]
+        real = steps < lengths[first:last]
+        positions = np.where(real, starts[first:last] + steps, ends[first:last] - 1)
+        symbols = np.where(real, codes[positions], pad)
+        finished = (last - first - np.count_nonzero(real, axis=1)).tolist()
+        batches.append((positions, symbols, finished))
         first = last
     return batches
 
@@ -108,15 +109,6 @@ def _batches(
 def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The leading part of a flat workspace buffer, viewed as ``shape``."""
     return buffer[: math.prod(shape)].reshape(shape)
-
-
-def _finished(mask: np.ndarray) -> list[int]:
-    """Per step of a band, how many of its sentences have already ended.
-
-    The columns of a band ascend in length, so at step t the sentences
-    that have ended are the first ``finished[t]`` columns.
-    """
-    return (mask.shape[1] - np.count_nonzero(mask, axis=1)).tolist()
 
 
 def train_hmm(
@@ -140,24 +132,20 @@ def train_hmm(
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
 
-    counts: dict[str, int] = {}
-    for token in corpus.tokens:
-        counts[token] = counts.get(token, 0) + 1
+    counts = Counter(corpus.tokens)
     symbols = sorted(t for t, c in counts.items() if c >= unk_threshold)
     index = {symbol: i for i, symbol in enumerate(symbols)}
     unk = len(symbols)
     width = unk + 1
-    bands = []
-    for _, obs, mask in _batches(corpus, index, unk):
-        # Padding reads as symbol ``width``, which every state emits
-        # with probability 1: alpha moves on through it unchanged.
-        bands.append((np.where(mask, obs, width), _finished(mask)))
+    # Padding reads as symbol ``width``, which every state emits with
+    # probability 1: alpha moves on through it unchanged.
+    bands = _batches(corpus, index, unk, width)
 
     # One workspace for every band and pass: the emission probabilities
     # of the band's symbols, the scaled forward and backward variables,
     # the backward products emit * beta / scale (kept for the xi sum),
     # and the scales.
-    size = max(obs.size for obs, _ in bands)
+    size = max(obs.size for _, obs, _ in bands)
     emit_buf, alpha_buf, beta_buf, weighted_buf = (
         np.empty(size * states) for _ in range(4)
     )
@@ -179,7 +167,7 @@ def train_hmm(
         emit_table[:width] = emissions.T
         transitions_t = transitions.T
         ll = 0.0
-        for obs, finished in bands:
+        for _, obs, finished in bands:
             length, rows = obs.shape
             shape = (length, rows, states)
             emit = _view(emit_buf, shape)
@@ -273,7 +261,8 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     log_emit[:, dead] = -np.log(states)
     emit_table = np.ascontiguousarray(log_emit.T)  # (W+1, K)
 
-    bands = _batches(corpus, index, unk)
+    # Padded cells read as UNK; the recursion leaves their delta as it is.
+    bands = _batches(corpus, index, unk, unk)
     size = max((obs.size for _, obs, _ in bands), default=0)
     widest = max((obs.shape[1] for _, obs, _ in bands), default=0)
     emit_buf = np.empty(size * states)
@@ -281,9 +270,8 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     scores_buf = np.empty(widest * states * states)
 
     tags = np.empty(len(corpus), dtype=np.intp)
-    for positions, obs, mask in bands:
+    for positions, obs, finished in bands:
         length, rows = obs.shape
-        finished = _finished(mask)
         emit = _view(emit_buf, (length, rows, states))
         back = _view(back_buf, (length, rows, states))
         scores = _view(scores_buf, (rows, states, states))  # (N, previous, next)
@@ -313,7 +301,9 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
             f = finished[t]
             if f:
                 path[t - 1, :f] = path[t, :f]
-        tags[positions[mask]] = path[mask]
+        # A padded cell repeats its sentence's last position, and the
+        # backtrace copied that position's state through it.
+        tags[positions] = path
     return tags.tolist()
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from paracomp.config import Config
+from paracomp.config import Config, parse_config_file
 from paracomp.corpus_io import (
     load_corpus,
     load_gold,
@@ -149,7 +149,8 @@ def test_read_predictions_lowercases_lemma_and_form(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "reader", [load_corpus, load_lexicon, load_gold, read_predictions]
+    "reader",
+    [load_corpus, load_lexicon, load_gold, read_predictions, parse_config_file],
 )
 def test_readers_name_path_and_line_of_bad_utf8(tmp_path, reader):
     path = tmp_path / "input.tsv"
@@ -163,3 +164,13 @@ def test_read_predictions_splits_rows_at_newlines_only(tmp_path):
     path.write_bytes(b"walk\twalked\t1\r\ntalk\ttalked\t1\rtalk\ttalks\t2\n")
     with pytest.raises(ValueError, match="line 2: expected 3 tab-separated"):
         read_predictions(str(path))
+
+
+def test_config_file_splits_lines_at_newlines_only(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 3\r\nhmm_states = 5  # CRLF\r\n\r\nshots = 2\n")
+    assert parse_config_file(str(path)) == {"seed": 3, "hmm_states": 5, "shots": 2}
+    # A lone carriage return is part of the line, as in every other input.
+    path.write_bytes(b"seed = 3\rshots = 2\n")
+    with pytest.raises(ValueError, match=r"run\.cfg: line 1: invalid literal"):
+        parse_config_file(str(path))

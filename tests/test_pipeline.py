@@ -395,6 +395,71 @@ class TestStageErrors:
             )
         assert info.value.stage == "load-gold"
 
+    @pytest.mark.parametrize(
+        "config, given, stage, message",
+        [
+            ({"mode": "pcs-i"}, ["lemmas"], "load", "pcs-i mode needs a corpus file"),
+            (
+                {"mode": "pcs-ii+iii"},
+                ["lemmas"],
+                "load",
+                "pcs-ii+iii mode needs a corpus file",
+            ),
+            ({"mode": "pcs-i"}, ["corpus"], "load", "pcs-i mode needs a lemma file"),
+            ({"mode": "lb"}, [], "load", "lb mode needs a lemma file"),
+            (
+                {"mode": "lb", "baseline_truth": True},
+                ["lemmas"],
+                "baseline",
+                "baseline_truth needs a gold table",
+            ),
+            (
+                {"mode": "conll17-k"},
+                ["gold"],
+                "load",
+                "conll17-k mode needs a lemma file",
+            ),
+            (
+                {"mode": "conll17-k"},
+                ["lemmas"],
+                "load-gold",
+                "conll17-k mode needs a gold table",
+            ),
+            (
+                {"mode": "eval"},
+                ["predictions"],
+                "load-gold",
+                "eval mode needs a gold table",
+            ),
+            (
+                {"mode": "eval"},
+                ["gold"],
+                "load-predictions",
+                "eval mode needs a prediction file",
+            ),
+        ],
+    )
+    def test_missing_input_is_named_in_its_stage(
+        self, lang_paths, config, given, stage, message
+    ):
+        arguments = {
+            "corpus": "corpus_path",
+            "lemmas": "lexicon_path",
+            "gold": "gold_path",
+            "predictions": "predictions_path",
+        }
+        paths = {arguments[name]: lang_paths.get(name, "x.tsv") for name in given}
+        with pytest.raises(StageError) as info:
+            run_pipeline(Config(**config), **paths)
+        assert info.value.stage == stage
+        assert str(info.value) == f"stage '{stage}' failed: {message}"
+
+    def test_cli_reports_a_missing_input(self, capsys):
+        assert main(["run", "--mode", "lb"]) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'load' failed: lb mode needs a lemma file\n"
+        )
+
 
 class TestCli:
     def test_synth_command(self, tmp_path, capsys):

@@ -249,10 +249,10 @@ def test_batches_split_across_chunks_agree(tmp_path, monkeypatch, budget):
     corpus = corpus_from_text(tmp_path, INTERLEAVED * 3)
     whole = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
     whole_tags = tag_corpus(whole, corpus)
-    assert len(tagger._batches(corpus, {}, 0)) == 1  # one padded band
+    assert len(tagger._batches(corpus, {}, 0, 1)) == 1  # one padded band
 
     monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
-    assert len(tagger._batches(corpus, {}, 0)) > 1
+    assert len(tagger._batches(corpus, {}, 0, 1)) > 1
     split = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
     assert_models_agree(split, whole)
     assert tag_corpus(whole, corpus) == whole_tags
@@ -308,17 +308,18 @@ def assert_bands_partition(corpus, budget):
     """Check ``_batches`` against its contract at one token budget."""
     index = {"a": 0, "b": 1, "cat": 2, "we": 3}
     unk = len(index)
+    pad = unk + 1
     ends = np.array(corpus.sentence_boundaries)
     starts = np.concatenate([[0], ends[:-1]])
     order = np.argsort(ends - starts, kind="stable")
     starts, lengths = starts[order], (ends - starts)[order]
     codes = np.array([index.get(token, unk) for token in corpus.tokens])
     with mock.patch.object(tagger, "BATCH_TOKENS", budget):
-        bands = tagger._batches(corpus, index, unk)
+        bands = tagger._batches(corpus, index, unk, pad)
 
     seen = []
     taken = 0
-    for positions, symbols, mask in bands:
+    for positions, symbols, finished in bands:
         length, rows = positions.shape  # time-major: one row per step
         # Stable sort by length, then greedy: no band could take the next one.
         assert positions[0].tolist() == starts[taken : taken + rows].tolist()
@@ -328,12 +329,17 @@ def assert_bands_partition(corpus, budget):
         assert rows * length <= budget or rows == 1
         if taken < len(lengths):
             assert (rows + 1) * lengths[taken] > budget
-        assert mask.shape == positions.shape == symbols.shape
+        assert len(finished) == length
+        # At step t the first finished[t] columns have ended.
+        mask = np.arange(rows) >= np.array(finished)[:, None]
+        assert positions.shape == symbols.shape
         assert mask.sum(axis=0).tolist() == band_lengths.tolist()
         assert (mask[:-1] >= mask[1:]).all()  # real tokens first
         assert (np.diff(positions, axis=0)[mask[1:]] == 1).all()
+        assert (np.diff(positions, axis=0)[~mask[1:]] == 0).all()  # padding repeats
         assert ((0 <= positions) & (positions < len(corpus))).all()
-        assert symbols.tolist() == codes[positions].tolist()
+        assert symbols[mask].tolist() == codes[positions[mask]].tolist()
+        assert (symbols[~mask] == pad).all()  # padded cells hold pad
         seen += positions[mask].tolist()
     assert taken == len(lengths)
     assert sorted(seen) == list(range(len(corpus)))
@@ -350,13 +356,13 @@ def test_uniform_lengths_give_unmasked_length_groups(budget):
     sentences = 50
     corpus = Corpus(["a", "b", "cat"] * sentences, list(range(3, 3 * sentences + 1, 3)))
     with mock.patch.object(tagger, "BATCH_TOKENS", budget):
-        bands = tagger._batches(corpus, {"a": 0, "b": 1}, 2)
+        bands = tagger._batches(corpus, {"a": 0, "b": 1}, 2, 3)
     # The exact-length grouping: corpus order, budget // length rows a batch.
     rows = max(1, budget // 3)
     firsts = np.arange(0, 3 * sentences, 3)
     assert len(bands) == -(-sentences // rows)
-    for i, (positions, symbols, mask) in enumerate(bands):
-        assert mask.shape == positions.shape and mask.all()  # nothing padded
+    for i, (positions, symbols, finished) in enumerate(bands):
+        assert finished == [0] * positions.shape[0]  # nothing padded
         # Time-major: row t holds step t of every sentence in the band.
         chunk = firsts[i * rows : (i + 1) * rows] + np.arange(3)[:, None]
         assert positions.tolist() == chunk.tolist()
@@ -403,7 +409,7 @@ def test_training_memory_is_bounded_by_the_band_budget(monkeypatch):
     budget, states = 256, 64
     monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
     corpus = clause_corpus(tokens=8192)
-    assert len(tagger._batches(corpus, {}, 0)) >= 20
+    assert len(tagger._batches(corpus, {}, 0, 1)) >= 20
     # Sixteen band-sized float arrays.  One float array of corpus tokens x
     # states would not fit, so working memory must not grow with the corpus.
     bound = 16 * budget * states * 8
