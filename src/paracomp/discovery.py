@@ -24,8 +24,11 @@ def _gram_index(words: list[str], k: int) -> dict[str, list[int]]:
     """Map each k-gram to the ascending indices of the words containing it."""
     index: dict[str, list[int]] = {}
     for i, word in enumerate(words):
-        for gram in {word[j:j + k] for j in range(len(word) - k + 1)}:
-            index.setdefault(gram, []).append(i)
+        for j in range(len(word) - k + 1):
+            hits = index.setdefault(word[j:j + k], [])
+            # A gram repeated within the word is already listed for it.
+            if not hits or hits[-1] != i:
+                hits.append(i)
     return index
 
 

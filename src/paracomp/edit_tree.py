@@ -7,24 +7,38 @@ into another.  Once built, a tree is a partial function on arbitrary
 strings: it applies wherever its structural constraints hold and
 returns None everywhere else, so a tree learned from one word pair can
 be tried on any other word.
+
+Trees are immutable named tuples, so building, hashing and comparing
+them runs in C.  A node equals the plain tuple of its fields:
+``Replace("y", "ied") == ("y", "ied")``.  A ``Replace`` (two fields)
+never equals a ``Match`` (four).
+
+The longest common substring is found by a search over its length
+rather than a table: a common substring of length L contains one of
+every shorter length, so the longest length is the last L at which
+some slice of ``x`` occurs in ``y``.  Each probe scans the starts of
+``x`` in ascending order and looks each slice up with ``str.find``, so
+the first hit is the smallest start in ``x``, then in ``y``, as a
+row-major table fill would give.  The search tries the full length
+n = min(len(x), len(y)) first and then bisects, so it makes at most
+1 + log2(n) probes of at most ``len(x)`` C-level searches each, where a
+scan down from n could make a probe per length.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Replace:
+class Replace(NamedTuple):
     """Leaf node: rewrite exactly ``old`` into ``new``."""
 
     old: str
     new: str
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """Inner node: a kept middle segment with subtrees for the prefix and suffix.
 
     ``prefix_len`` and ``suffix_len`` are measured on the *source* string;
@@ -43,65 +57,87 @@ EditTree = Replace | Match
 IDENTITY: EditTree = Match(0, 0, Replace("", ""), Replace("", ""))
 
 
+def _first_common(x: str, y: str, length: int) -> tuple[int, int] | None:
+    """Smallest (start_x, start_y) of a common substring of ``length``."""
+    find = y.find
+    for i in range(len(x) - length + 1):
+        j = find(x[i:i + length])
+        if j >= 0:
+            return i, j
+    return None
+
+
 def longest_common_substring(x: str, y: str) -> tuple[int, int, int]:
     """Return (length, start_x, start_y) of the longest common substring.
 
     Ties are broken toward the smallest start in ``x``, then the smallest
     start in ``y``.  Returns (0, 0, 0) when the strings share nothing.
     """
-    if not x or not y:
+    high = min(len(x), len(y))
+    if high == 0:
         return 0, 0, 0
-    best_len = 0
-    best_x = 0
-    best_y = 0
-    m = len(y)
-    prev = [0] * (m + 1)
-    cur = [0] * (m + 1)
-    for i, cx in enumerate(x):
-        for j, cy in enumerate(y):
-            if cx == cy:
-                run = prev[j] + 1
-                cur[j + 1] = run
-                # Strict > keeps the first maximum found in row-major
-                # order, which is exactly the smallest (start_x, start_y).
-                if run > best_len:
-                    best_len = run
-                    best_x = i + 1 - run
-                    best_y = j + 1 - run
-            else:
-                cur[j + 1] = 0
-        prev, cur = cur, prev
-    return best_len, best_x, best_y
+    hit = _first_common(x, y, high)
+    if hit is not None:
+        return high, *hit
+    # A common substring of length ``low`` exists; none of length ``high``.
+    low = 0
+    best = (0, 0, 0)
+    while high - low > 1:
+        mid = (low + high) // 2
+        hit = _first_common(x, y, mid)
+        if hit is None:
+            high = mid
+        else:
+            low = mid
+            best = (mid, *hit)
+    return best
 
 
 def construct(source: str, target: str) -> EditTree:
     """Build the edit tree that rewrites ``source`` into ``target``."""
-    length, sx, sy = longest_common_substring(source, target)
-    if length == 0:
-        return Replace(source, target)
-    return Match(
-        sx,
-        len(source) - sx - length,
-        construct(source[:sx], target[:sy]),
-        construct(source[sx + length:], target[sy + length:]),
-    )
+    # An empty side shares nothing, and most flanks of a suffixing pair
+    # are empty, so those skip the search.
+    if source and target:
+        length, sx, sy = longest_common_substring(source, target)
+        if length:
+            return Match(
+                sx,
+                len(source) - sx - length,
+                construct(source[:sx], target[:sy]),
+                construct(source[sx + length:], target[sy + length:]),
+            )
+    return Replace(source, target)
 
 
 def apply(tree: EditTree, text: str) -> str | None:
-    """Apply ``tree`` to ``text``; None when the tree does not fit."""
+    """Apply ``tree`` to ``text``; None when the tree does not fit.
+
+    Most children are leaves, so a leaf child is read in place rather
+    than by a recursive call.
+    """
     if isinstance(tree, Replace):
         return tree.new if text == tree.old else None
-    i = tree.prefix_len
-    j = tree.suffix_len
-    if len(text) < i + j:
+    i, j, left, right = tree
+    end = len(text) - j
+    if end < i:
         return None
-    head = apply(tree.left, text[:i])
-    if head is None:
-        return None
-    tail = apply(tree.right, text[len(text) - j:])
-    if tail is None:
-        return None
-    return head + text[i:len(text) - j] + tail
+    if isinstance(left, Replace):
+        if text[:i] != left.old:
+            return None
+        head = left.new
+    else:
+        head = apply(left, text[:i])
+        if head is None:
+            return None
+    if isinstance(right, Replace):
+        if text[end:] != right.old:
+            return None
+        tail = right.new
+    else:
+        tail = apply(right, text[end:])
+        if tail is None:
+            return None
+    return head + text[i:end] + tail
 
 
 def _output_len(tree: EditTree, input_len: int) -> int:

@@ -1,11 +1,16 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edit_tree_oracle
+import paracomp
 from discovery_oracle import lcs_length
+from paracomp import edit_tree
+from paracomp.discovery import retain_frequent_trees
 from paracomp.edit_tree import (
     IDENTITY,
     Match,
@@ -17,6 +22,7 @@ from paracomp.edit_tree import (
     longest_common_substring,
     to_sexpr,
 )
+from paracomp.lexicon import WeightedLexicon
 
 
 def brute_lcs(x: str, y: str) -> tuple[int, int, int]:
@@ -58,6 +64,60 @@ def test_lcs_against_brute_force():
         expected = brute_lcs(x, y)
         assert longest_common_substring(x, y) == expected, (x, y)
         assert lcs_length(x, y) == expected[0], (x, y)
+
+
+_TIE_TEXT = st.one_of(
+    st.text(alphabet="ab", max_size=12),
+    st.text(alphabet="abc", max_size=12),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TIE_TEXT, _TIE_TEXT)
+def test_lcs_matches_dynamic_programming_oracle(x, y):
+    # Two- and three-letter alphabets force repeats and ties; arbitrary
+    # text and empty strings cover the rest.
+    assert longest_common_substring(x, y) == (
+        edit_tree_oracle.longest_common_substring(x, y)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TIE_TEXT, _TIE_TEXT)
+def test_construct_matches_oracle_construct(x, y):
+    assert to_sexpr(construct(x, y)) == to_sexpr(edit_tree_oracle.construct(x, y))
+
+
+def _random_pair(alphabet: str, size: int, seed: int) -> tuple[str, str]:
+    rng = random.Random(seed)
+    x = "".join(rng.choice(alphabet) for _ in range(size))
+    y = "".join(rng.choice(alphabet) for _ in range(size))
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (("abc" * 667)[:2000], ("xyz" * 667)[:2000]),
+        _random_pair("ab", 400, seed=3),
+    ],
+    ids=["disjoint-2000", "ab-400"],
+)
+def test_lcs_worst_cases_bisect_the_length(x, y, monkeypatch):
+    expected = edit_tree_oracle.longest_common_substring(x, y)
+    probes: list[int] = []
+    probe = edit_tree._first_common
+
+    def counted(x, y, length):
+        probes.append(length)
+        return probe(x, y, length)
+
+    monkeypatch.setattr(edit_tree, "_first_common", counted)
+    assert longest_common_substring(x, y) == expected
+    # The full length, then a bisection: a descending scan would probe
+    # every length from 400 or 2000 down to the answer.
+    assert len(probes) <= 1 + math.ceil(math.log2(min(len(x), len(y))))
 
 
 def test_construct_known_tree():
@@ -117,6 +177,50 @@ def test_trees_are_hashable_values():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_trees_are_tuples_of_their_fields():
+    assert Replace("y", "ied") == ("y", "ied")
+    assert IDENTITY == (0, 0, ("", ""), ("", ""))
+    leaves = [Replace("", ""), Replace("a", "b"), Replace("ab", "")]
+    inner = [IDENTITY, construct("walk", "walked"), Match(1, 1, *leaves[:2])]
+    for leaf in leaves:
+        for node in inner:
+            assert leaf != node
+            assert node != leaf
+
+
+def test_equal_trees_share_one_census_key():
+    lexicon = WeightedLexicon.from_lemmas(["walk", "talk"])
+    _, census = retain_frequent_trees(
+        {"walk": ["walked"], "talk": ["talked"]}, lexicon, 0.0
+    )
+    assert census.weights == {construct("walk", "walked"): 2.0}
+
+
+@pytest.mark.parametrize("tree, field", [
+    (Replace("a", "b"), "old"),
+    (Replace("a", "b"), "new"),
+    (IDENTITY, "prefix_len"),
+    (IDENTITY, "right"),
+])
+def test_tree_fields_cannot_be_assigned(tree, field):
+    with pytest.raises(AttributeError):
+        setattr(tree, field, getattr(tree, field))
+
+
+def test_tree_repr_is_stable():
+    assert repr(construct("walk", "walked")) == (
+        "Match(prefix_len=0, suffix_len=0, left=Replace(old='', new=''), "
+        "right=Replace(old='', new='ed'))"
+    )
+
+
+def test_package_exports_tree_types():
+    assert paracomp.Replace is Replace
+    assert paracomp.Match is Match
+    assert paracomp.EditTree is edit_tree.EditTree
+    assert paracomp.IDENTITY is IDENTITY
 
 
 @settings(max_examples=300, deadline=None)
