@@ -6,18 +6,19 @@ chain per sentence, and decoded with Viterbi.  The states carry no
 names; they only need to be consistent enough that words used the same
 way end up tagged the same way.
 
-Both algorithms run on bands of sentences padded to a common length,
-so the Python loop over time steps runs once per band rather than once
-per sentence.  A band is laid out time-major, (steps, sentences), so
-each step of a recursion reads and writes one contiguous (sentences,
-states) slice.  The sentences of a band ascend in length, so at each
-step those that have already ended are a leading block of columns;
-padded steps leave the recursions unchanged and add nothing to the
-sums.
+Both algorithms run on bands of sentences that step through time
+together, so the Python loop over time steps runs once per band rather
+than once per sentence: a pass takes as many steps as the longest
+sentences of the bands add up to.  A band is ragged and time-major.
+Its sentences descend in length, and block t of its rows holds step t
+of the sentences still running, which are always its first few.  So
+the predecessors of block t are the leading rows of block t-1, and each
+recursion step reads and writes two contiguous (sentences, states)
+slices.  No cell is padding: every row is a real token.
 
-Each call allocates its float working arrays once, sized for the
-largest band, and every band and EM pass reuses them, so working memory
-is bounded by ``BATCH_TOKENS`` x states whatever the corpus size.  Each
+Each call allocates its working arrays once, sized for the largest
+band, and every band and EM pass reuses them, so working memory is
+bounded by ``BATCH_TOKENS`` x states whatever the corpus size.  Each
 recursion step runs as a few ufuncs that write into that workspace.
 Row sums are a product with a ones vector, which costs less per call
 than ``sum(axis=...)`` at this size but sums in the linear algebra
@@ -41,9 +42,9 @@ from .corpus_io import Corpus
 
 _SAVE_VERSION = 1
 
-# Most padded tokens (steps x sentences) one band may hold.  The
-# tagger's working arrays are sized for the largest band, so this
-# bounds its working memory whatever the corpus size.
+# Most tokens one band may hold.  The tagger's working arrays are sized
+# for the largest band, so this bounds its working memory whatever the
+# corpus size.
 BATCH_TOKENS = 2048
 
 
@@ -64,46 +65,62 @@ class HmmModel:
 
 
 def _batches(
-    corpus: Corpus, index: dict[str, int], unk: int, pad: int
+    corpus: Corpus, index: dict[str, int], unk: int
 ) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
-    """Time-major length bands of padded sentences: (positions, symbols, finished).
+    """Ragged time-major bands of sentences: (positions, symbols, counts).
 
-    The sentences are sorted by length, stably so that equal lengths
+    The sentences are sorted longest first, stably so that equal lengths
     keep corpus order, and packed greedily into bands of at most
-    ``BATCH_TOKENS`` padded tokens (longest x sentences); a sentence
-    longer than that is a band of its own.  The columns of a band
-    therefore ascend in length, so at step t the sentences that have
-    already ended are its first ``finished[t]`` columns.
+    ``BATCH_TOKENS`` tokens; a sentence longer than that is a band of
+    its own.
 
-    ``positions`` and ``symbols`` are (L, N): row t holds step t of
-    every sentence, as corpus offsets and as emission indices, OOV
-    mapped to ``unk``.  Padded cells hold ``pad`` and repeat the
-    sentence's last position, so positions stay valid indices.
+    ``positions`` and ``symbols`` are flat, one entry per token of the
+    band, as corpus offsets and as emission indices, OOV mapped to
+    ``unk``.  They run in blocks: block t holds step t of the
+    ``counts[t]`` sentences longer than t, which are the band's first
+    ``counts[t]`` sentences, in band order.  ``counts`` is therefore
+    non-increasing, and its length is the band's longest sentence.
     """
     codes = np.array([index.get(token, unk) for token in corpus.tokens], dtype=np.intp)
     ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1]
-    order = np.argsort(ends - starts, kind="stable")
-    starts, ends = starts[order], ends[order]
     lengths = ends - starts
-    count = lengths.shape[0]
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    filled = np.cumsum(lengths)  # tokens in the sentences up to each one
     batches = []
     first = 0
-    while first < count:
-        # Padded size of the band holding sentences first .. first+r-1,
-        # for every r that could fit; lengths ascend, so it only grows.
-        rows = np.arange(1, min(count - first, BATCH_TOKENS) + 1)
-        padded = rows * lengths[first : first + rows.shape[0]]
-        last = first + max(1, int(np.count_nonzero(padded <= BATCH_TOKENS)))
-        steps = np.arange(lengths[last - 1])[:, None]
-        real = steps < lengths[first:last]
-        positions = np.where(real, starts[first:last] + steps, ends[first:last] - 1)
-        symbols = np.where(real, codes[positions], pad)
-        finished = (last - first - np.count_nonzero(real, axis=1)).tolist()
-        batches.append((positions, symbols, finished))
+    while first < lengths.shape[0]:
+        before = int(filled[first - 1]) if first else 0
+        last = max(
+            first + 1,
+            int(np.searchsorted(filled, before + BATCH_TOKENS, side="right")),
+        )
+        steps = np.arange(lengths[first])[:, None]
+        running = steps < lengths[first:last]  # (step, sentence)
+        positions = (starts[first:last] + steps)[running]
+        batches.append(
+            (positions, codes[positions], np.count_nonzero(running, axis=1).tolist())
+        )
         first = last
     return batches
+
+
+def _steps(counts: list[int]) -> list[tuple[int, int, int, int]]:
+    """Row bounds ``(prev, mid, lo, hi)`` of every block after the first.
+
+    Block t is rows ``lo:hi`` of its band and its predecessors are rows
+    ``prev:mid`` of block t-1; rows ``mid:lo`` are the sentences that
+    end at step t-1.
+    """
+    bounds = []
+    prev = 0
+    for before, count in zip(counts, counts[1:]):
+        lo = prev + before
+        bounds.append((prev, prev + count, lo, lo + count))
+        prev = lo
+    return bounds
 
 
 def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -122,8 +139,10 @@ def train_hmm(
 
     The recorded log-likelihood list holds one entry per iteration,
     each evaluating the parameters *before* that iteration's update, so
-    the sequence is non-decreasing.  No smoothing is applied in the
-    M-step: probabilities the data does not support go to exactly zero.
+    the sequence is non-decreasing up to rounding: once the curve is
+    flat, consecutive entries can differ by an ulp either way.  No
+    smoothing is applied in the M-step: probabilities the data does not
+    support go to exactly zero.
     """
     if len(corpus) < 2:
         raise ValueError("corpus too small to train on (need at least 2 tokens)")
@@ -137,20 +156,25 @@ def train_hmm(
     index = {symbol: i for i, symbol in enumerate(symbols)}
     unk = len(symbols)
     width = unk + 1
-    # Padding reads as symbol ``width``, which every state emits with
-    # probability 1: alpha moves on through it unchanged.
-    bands = _batches(corpus, index, unk, width)
+    bands = []
+    for _, obs, running in _batches(corpus, index, unk):
+        steps = _steps(running)
+        # A sentence's last row has beta 1 and, with no transition
+        # leaving it, a zero row in the xi sum.  The rows from ``head``
+        # on, the last block, are all last rows.
+        head = obs.shape[0] - running[-1]
+        ended = [(mid, lo) for _, mid, lo, _ in steps if mid < lo]
+        bands.append((obs, running[0], head, steps, ended))
 
     # One workspace for every band and pass: the emission probabilities
     # of the band's symbols, the scaled forward and backward variables,
-    # the backward products emit * beta / scale (kept for the xi sum),
-    # and the scales.
-    size = max(obs.size for _, obs, _ in bands)
+    # the backward products emit * beta / scale (each in the row of its
+    # predecessor, kept for the xi sum), and the scales.
+    size = max(obs.shape[0] for obs, *_ in bands)
     emit_buf, alpha_buf, beta_buf, weighted_buf = (
         np.empty(size * states) for _ in range(4)
     )
     scale_buf = np.empty(size)
-    emit_table = np.ones((width + 1, states))  # (symbol, state); last row: padding
     ones = np.ones((states, 1))  # x @ ones sums the rows of x
     offsets = np.arange(states)
 
@@ -164,66 +188,55 @@ def train_hmm(
         start_acc = np.zeros(states)
         trans_acc = np.zeros((states, states))
         emit_acc_t = np.zeros((width, states))  # (symbol, state), as bincount fills it
-        emit_table[:width] = emissions.T
+        emit_table = np.ascontiguousarray(emissions.T)
         transitions_t = transitions.T
         ll = 0.0
-        for _, obs, finished in bands:
-            length, rows = obs.shape
-            shape = (length, rows, states)
+        for obs, first, head, steps, ended in bands:
+            shape = (obs.shape[0], states)
             emit = _view(emit_buf, shape)
             alpha = _view(alpha_buf, shape)
             beta = _view(beta_buf, shape)
             weighted = _view(weighted_buf, shape)
-            scale = _view(scale_buf, (length, rows, 1))
+            scale = _view(scale_buf, (shape[0], 1))
             np.take(emit_table, obs, axis=0, out=emit, mode="clip")
 
-            np.multiply(start, emit[0], out=alpha[0])
-            np.dot(alpha[0], ones, out=scale[0])
-            np.divide(alpha[0], scale[0], out=alpha[0])
-            for t in range(1, length):
-                now = alpha[t]
-                np.dot(alpha[t - 1], transitions, out=now)
-                np.multiply(now, emit[t], out=now)
-                np.dot(now, ones, out=scale[t])
-                if finished[t]:
-                    scale[t, : finished[t]] = 1.0  # padding adds no likelihood
-                np.divide(now, scale[t], out=now)
-            beta[length - 1] = 1.0
-            for t in range(length - 1, 0, -1):
-                step = weighted[t]
-                np.multiply(emit[t], beta[t], out=step)
-                np.divide(step, scale[t], out=step)
-                before = beta[t - 1]
-                np.dot(step, transitions_t, out=before)
-                if finished[t]:
-                    # A sentence ends at its last real step: beta is 1
-                    # there, and no transition leads into padding.
-                    before[: finished[t]] = 1.0
-                    step[: finished[t]] = 0.0
+            now = alpha[:first]
+            np.multiply(start, emit[:first], out=now)
+            np.dot(now, ones, out=scale[:first])
+            np.divide(now, scale[:first], out=now)
+            for prev, mid, lo, hi in steps:
+                now = alpha[lo:hi]
+                np.dot(alpha[prev:mid], transitions, out=now)
+                np.multiply(now, emit[lo:hi], out=now)
+                np.dot(now, ones, out=scale[lo:hi])
+                np.divide(now, scale[lo:hi], out=now)
+            beta[head:] = 1.0
+            for mid, lo in ended:
+                beta[mid:lo] = 1.0
+                weighted[mid:lo] = 0.0
+            for prev, mid, lo, hi in reversed(steps):
+                step = weighted[prev:mid]
+                np.multiply(emit[lo:hi], beta[lo:hi], out=step)
+                np.divide(step, scale[lo:hi], out=step)
+                np.dot(step, transitions_t, out=beta[prev:mid])
 
-            if length > 1:
+            if head:
                 # sum_t outer(alpha_t, emit_{t+1} * beta_{t+1} / c_{t+1}),
                 # masked by the transition matrix, is the xi total; one
                 # matmul sums it over every step of every sentence.
-                trans_acc += (
-                    alpha[:-1].reshape(-1, states).T
-                    @ weighted[1:].reshape(-1, states)
-                ) * transitions
+                trans_acc += (alpha[:head].T @ weighted[:head]) * transitions
             ll += float(np.log(scale, out=scale).sum())
 
             gamma = np.multiply(alpha, beta, out=beta)
-            flat = gamma.reshape(-1, states)
             # ll and trans_acc have read the scales, so their buffer is
             # free to hold gamma's normaliser; keep this after both.
-            norm = scale.reshape(-1, 1)
-            np.dot(flat, ones, out=norm)
-            np.divide(flat, norm, out=flat)
-            start_acc += gamma[0].sum(axis=0)
-            # Padded cells fall into the bins past width * states, dropped here.
-            cells = obs[:, :, None] * states + offsets
+            np.dot(gamma, ones, out=scale)
+            np.divide(gamma, scale, out=gamma)
+            start_acc += gamma[:first].sum(axis=0)
+            cells = obs[:, None] * states + offsets
             emit_acc_t += np.bincount(
                 cells.ravel(), weights=gamma.ravel(), minlength=width * states
-            )[: width * states].reshape(width, states)
+            ).reshape(width, states)
         log_likelihoods.append(ll)
 
         start = start_acc / start_acc.sum()
@@ -261,49 +274,52 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     log_emit[:, dead] = -np.log(states)
     emit_table = np.ascontiguousarray(log_emit.T)  # (W+1, K)
 
-    # Padded cells read as UNK; the recursion leaves their delta as it is.
-    bands = _batches(corpus, index, unk, unk)
-    size = max((obs.size for _, obs, _ in bands), default=0)
-    widest = max((obs.shape[1] for _, obs, _ in bands), default=0)
+    bands = _batches(corpus, index, unk)
+    size = max((obs.shape[0] for _, obs, _ in bands), default=0)
+    widest = max((running[0] for _, _, running in bands), default=0)
     emit_buf = np.empty(size * states)
     back_buf = np.empty(size * states, dtype=np.intp)
+    path = np.empty(size, dtype=np.intp)
     scores_buf = np.empty(widest * states * states)
+    scores = scores_buf.reshape(widest, states, states)  # (N, previous, next)
+    delta = np.empty((widest, states, 1))
+    now = delta[:, :, 0]
+    # Flat offset of scores[n, 0, j], for reading each maximum at its argmax.
+    corner = np.arange(widest)[:, None] * states * states + np.arange(states)
+    pick = np.empty_like(corner)
+    # Flat offset of back[n, 0] within a block, for the backtrace.
+    row_base = np.arange(widest) * states
+    state = np.empty(widest, dtype=np.intp)
+    cell = np.empty(widest, dtype=np.intp)
 
     tags = np.empty(len(corpus), dtype=np.intp)
-    for positions, obs, finished in bands:
-        length, rows = obs.shape
-        emit = _view(emit_buf, (length, rows, states))
-        back = _view(back_buf, (length, rows, states))
-        scores = _view(scores_buf, (rows, states, states))  # (N, previous, next)
-        delta = np.empty((rows, states, 1))
-        now = delta[:, :, 0]
-        step = np.empty((rows, states))
-        # Flat offset of scores[n, 0, j], for reading each maximum at its argmax.
-        corner = np.arange(rows)[:, None] * states * states + np.arange(states)
-        pick = np.empty_like(corner)
+    for positions, obs, running in bands:
+        first = running[0]
+        steps = _steps(running)
+        emit = _view(emit_buf, (obs.shape[0], states))
+        back = _view(back_buf, (obs.shape[0], states))
         np.take(emit_table, obs, axis=0, out=emit, mode="clip")
-        np.add(log_start, emit[0], out=now)
-        for t in range(1, length):
-            np.add(delta, log_trans, out=scores)
-            np.argmax(scores, axis=1, out=back[t])  # first maximum: lower state
-            np.multiply(back[t], states, out=pick)
-            np.add(pick, corner, out=pick)
-            np.take(scores_buf, pick, out=step)  # scores[n, back[t, n, j], j]
-            np.add(step, emit[t], out=step)
-            # Past a sentence's end its delta stays as the end left it.
-            f = finished[t]
-            now[f:] = step[f:]
-        path = np.empty((length, rows), dtype=np.intp)
-        np.argmax(now, axis=1, out=path[length - 1])
-        every = np.arange(rows)
-        for t in range(length - 1, 0, -1):
-            path[t - 1] = back[t][every, path[t]]
-            f = finished[t]
-            if f:
-                path[t - 1, :f] = path[t, :f]
-        # A padded cell repeats its sentence's last position, and the
-        # backtrace copied that position's state through it.
-        tags[positions] = path
+        np.add(log_start, emit[:first], out=now[:first])
+        # Only the running sentences step, so an ended one keeps the
+        # delta of its last step.
+        for _, _, lo, hi in steps:
+            n = hi - lo
+            block = scores[:n]
+            np.add(delta[:n], log_trans, out=block)
+            np.argmax(block, axis=1, out=back[lo:hi])  # first maximum: lower state
+            np.multiply(back[lo:hi], states, out=pick[:n])
+            np.add(pick[:n], corner[:n], out=pick[:n])
+            # now[n, j] = scores[n, back[n, j], j]
+            np.take(scores_buf, pick[:n], out=now[:n], mode="clip")
+            np.add(now[:n], emit[lo:hi], out=now[:n])
+        np.argmax(now[:first], axis=1, out=state[:first])
+        for _, _, lo, hi in reversed(steps):
+            n = hi - lo
+            path[lo:hi] = state[:n]
+            np.add(row_base[:n], state[:n], out=cell[:n])
+            np.take(back_buf[lo * states :], cell[:n], out=state[:n], mode="clip")
+        path[:first] = state[:first]
+        tags[positions] = path[: obs.shape[0]]
     return tags.tolist()
 
 

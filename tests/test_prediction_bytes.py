@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 
@@ -99,6 +100,28 @@ def test_outputs_match_committed_bytes(name, seed):
 def test_row_order_does_not_change_predictions(name, seed, shuffled):
     got = record(name, seed, shuffled)["predictions_sha256"]
     assert got == _golden()[f"{name}:{seed}"]["predictions_sha256"]
+
+
+@pytest.mark.parametrize("name,seed", [("long-sentences", 1)])
+def test_predictions_match_across_processes_and_hash_seeds(tmp_path, name, seed):
+    # The determinism contract across processes: ``paracomp run`` under
+    # two string-hash seeds writes the committed bytes both times.
+    workload = WORKLOADS[name]
+    paths = write_workload(workload, seed, str(tmp_path))["paths"]
+    src = os.path.join(ROOT, "src")
+    digests = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"predictions-{hash_seed}.tsv"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "paracomp.cli", "run", "--mode", workload.mode,
+             "--corpus", paths["corpus"], "--lemmas", paths["lemmas"],
+             "--gold", paths["gold"], "--out", str(out)],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [_golden()[f"{name}:{seed}"]["predictions_sha256"]] * 2
 
 
 if __name__ == "__main__":

@@ -249,10 +249,10 @@ def test_batches_split_across_chunks_agree(tmp_path, monkeypatch, budget):
     corpus = corpus_from_text(tmp_path, INTERLEAVED * 3)
     whole = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
     whole_tags = tag_corpus(whole, corpus)
-    assert len(tagger._batches(corpus, {}, 0, 1)) == 1  # one padded band
+    assert len(tagger._batches(corpus, {}, 0)) == 1  # one band of 78 tokens
 
     monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
-    assert len(tagger._batches(corpus, {}, 0, 1)) > 1
+    assert len(tagger._batches(corpus, {}, 0)) > 1
     split = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
     assert_models_agree(split, whole)
     assert tag_corpus(whole, corpus) == whole_tags
@@ -284,6 +284,7 @@ def test_clause_corpus_has_every_length():
     lengths = np.diff([0, *corpus.sentence_boundaries])
     assert set(lengths) == set(range(3, 37, 3))
     assert 2000 <= len(corpus) < 2036
+    assert len(tagger._batches(corpus, {}, 0)) == 1  # within the default budget
 
 
 @pytest.mark.parametrize(
@@ -308,39 +309,39 @@ def assert_bands_partition(corpus, budget):
     """Check ``_batches`` against its contract at one token budget."""
     index = {"a": 0, "b": 1, "cat": 2, "we": 3}
     unk = len(index)
-    pad = unk + 1
     ends = np.array(corpus.sentence_boundaries)
     starts = np.concatenate([[0], ends[:-1]])
-    order = np.argsort(ends - starts, kind="stable")
+    order = np.argsort(starts - ends, kind="stable")  # longest first
     starts, lengths = starts[order], (ends - starts)[order]
     codes = np.array([index.get(token, unk) for token in corpus.tokens])
     with mock.patch.object(tagger, "BATCH_TOKENS", budget):
-        bands = tagger._batches(corpus, index, unk, pad)
+        bands = tagger._batches(corpus, index, unk)
 
     seen = []
     taken = 0
-    for positions, symbols, finished in bands:
-        length, rows = positions.shape  # time-major: one row per step
-        # Stable sort by length, then greedy: no band could take the next one.
-        assert positions[0].tolist() == starts[taken : taken + rows].tolist()
+    for positions, symbols, counts in bands:
+        rows = counts[0]
+        band_starts = starts[taken : taken + rows]
         band_lengths = lengths[taken : taken + rows]
         taken += rows
-        assert length == band_lengths.max()
-        assert rows * length <= budget or rows == 1
+        # Stable sort by length, then greedy by real tokens: no band
+        # could take the next sentence.
+        tokens = int(band_lengths.sum())
+        assert positions.shape == symbols.shape == (tokens,)
+        assert tokens <= budget or rows == 1
         if taken < len(lengths):
-            assert (rows + 1) * lengths[taken] > budget
-        assert len(finished) == length
-        # At step t the first finished[t] columns have ended.
-        mask = np.arange(rows) >= np.array(finished)[:, None]
-        assert positions.shape == symbols.shape
-        assert mask.sum(axis=0).tolist() == band_lengths.tolist()
-        assert (mask[:-1] >= mask[1:]).all()  # real tokens first
-        assert (np.diff(positions, axis=0)[mask[1:]] == 1).all()
-        assert (np.diff(positions, axis=0)[~mask[1:]] == 0).all()  # padding repeats
-        assert ((0 <= positions) & (positions < len(corpus))).all()
-        assert symbols[mask].tolist() == codes[positions[mask]].tolist()
-        assert (symbols[~mask] == pad).all()  # padded cells hold pad
-        seen += positions[mask].tolist()
+            assert tokens + lengths[taken] > budget
+        # Block t holds step t of the counts[t] sentences still running,
+        # which are the band's first counts[t].
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        longest = band_lengths[0]
+        assert counts == [np.count_nonzero(band_lengths > t) for t in range(longest)]
+        blocks = np.split(positions, np.cumsum(counts)[:-1])
+        assert blocks[0].tolist() == band_starts.tolist()
+        for before, block in zip(blocks, blocks[1:]):
+            assert block.tolist() == (before[: len(block)] + 1).tolist()
+        assert symbols.tolist() == codes[positions].tolist()
+        seen += positions.tolist()
     assert taken == len(lengths)
     assert sorted(seen) == list(range(len(corpus)))
 
@@ -356,17 +357,44 @@ def test_uniform_lengths_give_unmasked_length_groups(budget):
     sentences = 50
     corpus = Corpus(["a", "b", "cat"] * sentences, list(range(3, 3 * sentences + 1, 3)))
     with mock.patch.object(tagger, "BATCH_TOKENS", budget):
-        bands = tagger._batches(corpus, {"a": 0, "b": 1}, 2, 3)
-    # The exact-length grouping: corpus order, budget // length rows a batch.
+        bands = tagger._batches(corpus, {"a": 0, "b": 1}, 2)
+    # Corpus order, budget // length sentences a band, three full blocks each.
     rows = max(1, budget // 3)
     firsts = np.arange(0, 3 * sentences, 3)
     assert len(bands) == -(-sentences // rows)
-    for i, (positions, symbols, finished) in enumerate(bands):
-        assert finished == [0] * positions.shape[0]  # nothing padded
-        # Time-major: row t holds step t of every sentence in the band.
-        chunk = firsts[i * rows : (i + 1) * rows] + np.arange(3)[:, None]
-        assert positions.tolist() == chunk.tolist()
-        assert symbols.tolist() == [[code] * chunk.shape[1] for code in (0, 1, 2)]
+    for i, (positions, symbols, counts) in enumerate(bands):
+        chunk = firsts[i * rows : (i + 1) * rows]
+        assert counts == [chunk.shape[0]] * 3
+        assert positions.tolist() == (chunk + np.arange(3)[:, None]).ravel().tolist()
+        assert symbols.tolist() == np.repeat([0, 1, 2], chunk.shape[0]).tolist()
+
+
+def test_sentences_ending_early_in_a_band_match_loop(tmp_path, monkeypatch):
+    # Lengths 2, 5 and 1 share the second band, so two sentences end
+    # while the longest still runs; the first band leaves its values in
+    # the workspace rows where they end.
+    corpus = corpus_from_text(tmp_path, "b b\na a a a a\nb\nb a b a b a b a\n")
+    monkeypatch.setattr(tagger, "BATCH_TOKENS", 8)
+    assert [counts for *_, counts in tagger._batches(corpus, {}, 0)] == [
+        [1] * 8, [3, 2, 1, 1, 1]
+    ]
+    # Sticky states that each prefer one symbol: the sentences of b end
+    # in state 1 while the longest ends in state 0.
+    sticky = HmmModel(
+        start=np.array([0.5, 0.5]),
+        transitions=np.array([[0.6, 0.4], [0.4, 0.6]]),
+        emissions=np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]]),
+        symbols=["a", "b"],
+    )
+    tags = tag_corpus(sticky, corpus)
+    assert tags == oracle.tag_corpus(sticky, corpus)
+    assert tags[:8] == [1, 1, 0, 0, 0, 0, 0, 1]
+    for kwargs in (
+        {"states": 2, "iterations": 6, "seed": 0, "unk_threshold": 1},
+        {"states": 3, "iterations": 6, "seed": 3, "unk_threshold": 1},
+        {"states": 1, "iterations": 3, "seed": 1, "unk_threshold": 1},
+    ):
+        assert_matches_oracle(corpus, **kwargs)
 
 
 @st.composite
@@ -409,7 +437,7 @@ def test_training_memory_is_bounded_by_the_band_budget(monkeypatch):
     budget, states = 256, 64
     monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
     corpus = clause_corpus(tokens=8192)
-    assert len(tagger._batches(corpus, {}, 0, 1)) >= 20
+    assert len(tagger._batches(corpus, {}, 0)) >= 20
     # Sixteen band-sized float arrays.  One float array of corpus tokens x
     # states would not fit, so working memory must not grow with the corpus.
     bound = 16 * budget * states * 8
