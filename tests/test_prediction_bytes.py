@@ -3,11 +3,12 @@
 For each benchmark workload (inputs from ``perfbench/workloads.py``) at
 seeds 1 and 7, ``prediction_bytes.json`` records the sha256 of the
 written predictions, the retained trees as ``to_sexpr``, the discovered
-lemmas with their round, and the merge log (kept, absorbed,
-``score.hex()``).  A change that moves any of these bytes fails here and
-has to say which bytes moved and why.  The predictions must also keep
-their sha256 when the lines of the lemma file or of the corpus are
-shuffled: row order is not an input.
+lemmas with their round, the merge log (kept, absorbed,
+``score.hex()``), and the macro and micro scores with the macro matching
+(gold slot, predicted slot, ``accuracy.hex()``).  A change that moves
+any of these bytes fails here and has to say which bytes moved and why.
+The predictions must also keep their sha256 when the lines of the lemma
+file or of the corpus are shuffled: row order is not an input.
 
 Regenerating the JSON is a deliberate step, taken only when a change is
 meant to alter output bytes::
@@ -74,6 +75,10 @@ def record(name: str, seed: int, shuffled: str | None = None) -> dict:
                        for entry in result.lexicon if entry.iteration > 0],
         "merges": [[event.kept, event.absorbed, event.score.hex()]
                    for event in result.merge_log],
+        "macro": result.scores.macro.hex(),
+        "micro": result.scores.micro.hex(),
+        "pairs": [[gold, pred, accuracy.hex()]
+                  for gold, pred, accuracy in result.scores.pairs],
     }
 
 
