@@ -11,6 +11,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .corpus_io import _lines
+from .evaluation import DEFAULT_BASELINE_SLOTS
 
 MODES = (
     "pcs-i",
@@ -38,7 +39,7 @@ class Config:
     hmm_iterations: int = 20
     unk_threshold: int = 2
     seed: int = 0
-    baseline_slots: int = 48
+    baseline_slots: int = DEFAULT_BASELINE_SLOTS
     baseline_truth: bool = False
     shots: int = 1
 

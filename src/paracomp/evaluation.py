@@ -7,11 +7,11 @@ every lemma (syncretic columns) are collapsed on each side
 independently before any matching, so neither side is rewarded or
 punished for how it counts indistinguishable columns.
 
-The matching is solved in pure Python with the shortest augmenting path
-algorithm for rectangular assignment (Crouse 2016, "On implementing 2D
-rectangular assignment algorithms", IEEE TAES), the algorithm behind
-``scipy.optimize.linear_sum_assignment``, with the same tie rules, so it
-returns the same assignment without importing scipy.
+The matching is one solve per table, in pure Python, with the shortest
+augmenting path algorithm for rectangular assignment (Crouse 2016, "On
+implementing 2D rectangular assignment algorithms", IEEE TAES), the
+algorithm behind ``scipy.optimize.linear_sum_assignment``, with the same
+tie rules, so it returns the same assignment without importing scipy.
 """
 
 from __future__ import annotations
@@ -122,94 +122,23 @@ def _assignment(weights: list[list[float]]) -> list[tuple[int, int]]:
     return list(enumerate(col4row))
 
 
-def _assignment_value(
-    w: np.ndarray, table: list[list[float]], rows: list[int], cols: list[int]
-) -> float:
-    """Optimal value of ``w[np.ix_(rows, cols)]``; ``table`` is ``w.tolist()``.
-
-    The matched weights are summed by numpy in row order, exactly as
-    ``w[rows, cols].sum()`` over a ``linear_sum_assignment`` result.
-    """
-    if not rows or not cols:
-        return 0.0
-    pairs = _assignment([[table[r][c] for c in cols] for r in rows])
-    return float(w[[rows[i] for i, _ in pairs], [cols[j] for _, j in pairs]].sum())
-
-
-#: Relative slack on the pruning bound of ``best_match``.  A computed sum
-#: of n non-negative terms is off by at most n * 2**-53 relative, so a
-#: column's computed value never exceeds its bound times 1 + BOUND_SLACK.
-BOUND_SLACK = 1e-9
-
-
 def best_match(weights) -> list[tuple[int, int]]:
     """Max-weight full matching between rows and columns.
 
-    Returns min(N, M) (row, column) pairs sorted by row.  Among
-    matchings of maximal total weight the lexicographically smallest
-    pair list is chosen: each row in turn takes the smallest column
-    that still allows an optimal completion, and with more rows than
-    columns a row is left out only when skipping it costs nothing.
-
-    Each row solves the remaining rows against the free columns once.
-    With non-negative weights, dropping a column never raises that
-    optimum, so ``w[row, c]`` plus it, times ``1 + BOUND_SLACK``, caps
-    the value of taking column ``c`` (with no slack when the weights
-    are integers summing below 2**53, as every sum is then exact).
-    Columns are tried in descending ``w[row, c]``, each with one
-    assignment solve, until the cap falls below the best value found; a
-    column whose cap only equals it is skipped unless it is smaller
-    than the best column.  The maximum value wins, the smallest column
-    on exact ties.
+    Returns min(N, M) (row, column) pairs sorted by row: one assignment
+    solve, so among equally good matchings the one
+    ``linear_sum_assignment(weights, maximize=True)`` returns.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"weight matrix must be 2-D, got shape {w.shape}")
-    n_rows, n_cols = w.shape
-    if n_rows == 0 or n_cols == 0:
+    if w.size == 0:
         return []
     if not np.isfinite(w).all():
         raise ValueError("weight matrix contains non-finite values")
     if (w < 0).any():
         raise ValueError("weight matrix contains negative values")
-
-    table = w.tolist()
-    exact = bool((w == np.floor(w)).all()) and w.sum() < 2.0**53
-    scale = 1.0 if exact else 1.0 + BOUND_SLACK
-    size = min(n_rows, n_cols)
-    pairs: list[tuple[int, int]] = []
-    free_cols = list(range(n_cols))
-    for row in range(n_rows):
-        remaining = size - len(pairs)
-        if remaining == 0:
-            break
-        rows_after = list(range(row + 1, n_rows))
-        rest_value = _assignment_value(w, table, rows_after, free_cols)
-        row_weights = table[row]
-        best_value = None
-        best_col = None
-        for col in sorted(free_cols, key=lambda c: -row_weights[c]):
-            if best_value is not None:
-                cap = (row_weights[col] + rest_value) * scale
-                if cap < best_value:
-                    break
-                if cap == best_value and col > best_col:
-                    continue
-            rest = [c for c in free_cols if c != col]
-            value = row_weights[col] + _assignment_value(w, table, rows_after, rest)
-            if best_value is None or value > best_value or (
-                value == best_value and col < best_col
-            ):
-                best_value = value
-                best_col = col
-        # Skipping the row is the least preferred option: it needs a
-        # strictly better value.
-        if len(rows_after) >= remaining and rest_value > best_value:
-            best_col = None
-        if best_col is not None:
-            pairs.append((row, best_col))
-            free_cols.remove(best_col)
-    return pairs
+    return _assignment(w.tolist())
 
 
 @dataclass

@@ -158,6 +158,17 @@ class TestConfig:
         assert rows == defaults
 
 
+def test_readme_names_every_oracle_file():
+    # The README's test section lists each kept oracle, and only those.
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("\n## Tests\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`tests/(\w+_oracle\.py)`", section))
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    present = {name for name in os.listdir(tests_dir) if name.endswith("_oracle.py")}
+    assert named == present
+
+
 class TestTreeModes:
     def test_tree_census_mode(self, lang_paths):
         result = run_pipeline(

@@ -107,10 +107,18 @@ def test_row_order_does_not_change_predictions(name, seed, shuffled):
     assert got == _golden()[f"{name}:{seed}"]["predictions_sha256"]
 
 
-@pytest.mark.parametrize("name,seed", [("long-sentences", 1)])
-def test_predictions_match_across_processes_and_hash_seeds(tmp_path, name, seed):
+@pytest.mark.parametrize("name,seed,mode", [
+    pytest.param(name, 1, None, id=f"{name}-1") for name in sorted(WORKLOADS)
+] + [
+    pytest.param("sparse-seed", 1, mode, id=f"sparse-seed-1-{mode}")
+    for mode in ("pcs-i", "pcs-ii-a", "pcs-iii")
+])
+def test_predictions_match_across_processes_and_hash_seeds(
+    tmp_path, name, seed, mode
+):
     # The determinism contract across processes: ``paracomp run`` under
-    # two string-hash seeds writes the committed bytes both times.
+    # two string-hash seeds writes the same bytes both times, and in the
+    # workload's own mode (``mode`` None) the committed bytes.
     workload = WORKLOADS[name]
     paths = write_workload(workload, seed, str(tmp_path))["paths"]
     src = os.path.join(ROOT, "src")
@@ -120,13 +128,16 @@ def test_predictions_match_across_processes_and_hash_seeds(tmp_path, name, seed)
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run(
-            [sys.executable, "-m", "paracomp.cli", "run", "--mode", workload.mode,
+            [sys.executable, "-m", "paracomp.cli", "run",
+             "--mode", mode or workload.mode,
              "--corpus", paths["corpus"], "--lemmas", paths["lemmas"],
              "--gold", paths["gold"], "--out", str(out)],
             env=env, capture_output=True, check=True, timeout=300,
         )
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests == [_golden()[f"{name}:{seed}"]["predictions_sha256"]] * 2
+    assert digests[0] == digests[1]
+    if mode is None:
+        assert digests[0] == _golden()[f"{name}:{seed}"]["predictions_sha256"]
 
 
 if __name__ == "__main__":
