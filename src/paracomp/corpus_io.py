@@ -57,12 +57,13 @@ def _lines(path: str):
     """Yield (line number, text) for each line of a UTF-8 file.
 
     Only a newline ends a line, and the line keeps it; a lone carriage
-    return does not.  Invalid UTF-8 is an error naming the file and line.
+    return does not.  One byte order mark at the start of the file is
+    dropped.  Invalid UTF-8 is an error naming the file and line.
     """
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, 1):
             try:
-                line = raw.decode("utf-8")
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(
                     f"{path}: line {lineno}: invalid UTF-8 ({exc.reason})"

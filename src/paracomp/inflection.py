@@ -6,13 +6,16 @@ material after it yields a family of suffix rules, one per split point
 walking from the stem boundary back into the stem, so both "" -> "ed"
 and "work" -> "worked" are learned from a single pair.  Generation
 applies the longest matching suffix rule, then the longest matching
-prefix rule, and falls back to copying the lemma.
+prefix rule, and falls back to copying the lemma.  Of the rules of one
+``old`` the heaviest wins, then the smallest ``new``; each slot picks
+these winners once, so generation only looks them up.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable
 
 from .edit_tree import longest_common_substring
@@ -24,8 +27,26 @@ Rule = tuple[str, str]
 
 @dataclass
 class SlotRules:
+    """One slot's weighted rules, fixed once ``inflect`` has read them."""
+
     prefix: dict[Rule, float] = field(default_factory=dict)
     suffix: dict[Rule, float] = field(default_factory=dict)
+
+    @cached_property
+    def prefix_winners(self) -> dict[str, str]:
+        return _winners(self.prefix)
+
+    @cached_property
+    def suffix_winners(self) -> dict[str, str]:
+        return _winners(self.suffix)
+
+
+def _winners(rules: dict[Rule, float]) -> dict[str, str]:
+    """Each old mapped to the new of its heaviest rule, smallest new on ties."""
+    winners: dict[str, str] = {}
+    for (old, new), _ in sorted(rules.items(), key=lambda kv: (-kv[1], kv[0][1])):
+        winners.setdefault(old, new)
+    return winners
 
 
 @dataclass
@@ -62,33 +83,6 @@ def extract_affix_rules(
     return table
 
 
-def _pick(rules: dict[Rule, float], text: str, at_end: bool) -> Rule | None:
-    """Best applicable rule: longest old, then heaviest, then smallest new.
-
-    Two applicable olds of equal length are the same string (both are
-    the same slice of ``text``), so ties reduce to competing news.
-    """
-    best: tuple[str, str, float] | None = None
-    for (old, new), support in rules.items():
-        if at_end:
-            if not text.endswith(old):
-                continue
-        elif not text.startswith(old):
-            continue
-        if best is None:
-            best = (old, new, support)
-            continue
-        b_old, b_new, b_support = best
-        if len(old) > len(b_old):
-            best = (old, new, support)
-        elif len(old) == len(b_old):
-            if support > b_support or (support == b_support and new < b_new):
-                best = (old, new, support)
-    if best is None:
-        return None
-    return best[0], best[1]
-
-
 def inflect(table: RuleTable, slot: Hashable, lemma: str) -> str:
     """Rewrite ``lemma`` into its form for ``slot``.
 
@@ -99,14 +93,16 @@ def inflect(table: RuleTable, slot: Hashable, lemma: str) -> str:
         raise ValueError(f"unknown slot {slot!r}")
     rules = table.slots[slot]
     result = lemma
-    picked = _pick(rules.suffix, result, at_end=True)
-    if picked is not None:
-        old, new = picked
-        result = result[:len(result) - len(old)] + new
-    picked = _pick(rules.prefix, result, at_end=False)
-    if picked is not None:
-        old, new = picked
-        result = new + result[len(old):]
+    # Longest old first: two applicable olds of one length are one string.
+    for cut in range(len(result) + 1):
+        new = rules.suffix_winners.get(result[cut:])
+        if new is not None:
+            result = result[:cut] + new
+            break
+    for cut in range(len(result), -1, -1):
+        new = rules.prefix_winners.get(result[:cut])
+        if new is not None:
+            return new + result[cut:]
     return result
 
 

@@ -345,13 +345,22 @@ def load_model(path: str) -> HmmModel:
         version = int(data["version"][0])
         if version != _SAVE_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
-        return HmmModel(
+        model = HmmModel(
             start=data["start"],
             transitions=data["transitions"],
             emissions=data["emissions"],
             symbols=[str(s) for s in data["symbols"]],
             log_likelihoods=[float(v) for v in data["log_likelihoods"]],
         )
+    states = model.start.shape[0] if model.start.ndim == 1 else 0
+    got = (model.start.shape, model.transitions.shape, model.emissions.shape)
+    need = ((states,), (states, states), (states, len(model.symbols) + 1))
+    if states < 1 or got != need:
+        raise ValueError(
+            f"{path}: start, transitions and emissions have shapes {got}; "
+            f"need {need} with at least one state"
+        )
+    return model
 
 
 def write_tagged(corpus: Corpus, tags: list[int], path: str) -> None:

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from paracomp.config import Config, parse_config_file
 from paracomp.corpus_io import (
+    Corpus,
+    Vocabulary,
     load_corpus,
     load_gold,
     load_lexicon,
@@ -157,6 +161,45 @@ def test_readers_name_path_and_line_of_bad_utf8(tmp_path, reader):
     path.write_bytes(b"\n\xff\xfe\tx\t1\n")
     with pytest.raises(ValueError, match=r"input\.tsv: line 2: invalid UTF-8"):
         reader(str(path))
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("reader,text", [
+    (load_corpus, "walk talk\nran\n"),
+    (load_lexicon, "walk\ntalk\n"),
+    (load_gold, "walk\twalked\tPST\n"),
+    (read_predictions, "walk\twalked\t1\n"),
+    (parse_config_file, "seed = 3\nmode = pcs-i\n"),
+])
+def test_readers_drop_a_leading_byte_order_mark(tmp_path, reader, text):
+    plain = tmp_path / "plain.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.txt"
+    marked.write_text(BOM + text, encoding="utf-8")
+    assert reader(str(marked)) == reader(str(plain))
+
+
+@pytest.mark.parametrize("reader,text,expected", [
+    (load_corpus, f"{BOM}{BOM}walk talk\nr{BOM}an\n", (
+        Corpus([f"{BOM}walk", "talk", f"r{BOM}an"], [2, 3]),
+        Vocabulary(Counter([f"{BOM}walk", "talk", f"r{BOM}an"])),
+    )),
+    (load_lexicon, f"{BOM}{BOM}walk\n{BOM}talk\n", [f"{BOM}walk", f"{BOM}talk"]),
+    (load_gold, f"{BOM}{BOM}walk\twalked\tPST\ntalk\ttalked{BOM}\tPST\n", {
+        f"{BOM}walk": {"PST": "walked"}, "talk": {"PST": f"talked{BOM}"},
+    }),
+    (read_predictions, f"{BOM}{BOM}walk\twalked\t1\ntalk\t{BOM}talked\t1\n", {
+        f"{BOM}walk": {1: "walked"}, "talk": {1: f"{BOM}talked"},
+    }),
+    (parse_config_file, f"{BOM}seed = 3\nmode = {BOM}pcs-i\n",
+     {"seed": 3, "mode": f"{BOM}pcs-i"}),
+])
+def test_readers_keep_every_other_byte_order_mark(tmp_path, reader, text, expected):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert reader(str(path)) == expected
 
 
 def test_read_predictions_splits_rows_at_newlines_only(tmp_path):

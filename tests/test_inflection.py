@@ -1,7 +1,10 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import inflection_oracle as oracle
 from paracomp.inflection import (
     RuleTable,
     SlotRules,
@@ -159,3 +162,57 @@ def test_dump_rules_layout(tmp_path):
         "1\tsuffix\t\ted\t1.5\n"
         "2\tsuffix\t\ts\t2\n"
     )
+
+
+@pytest.mark.parametrize("rules,lemma,expected", [
+    # Equal supports, different new: the smallest new wins, in either
+    # insertion order.
+    (SlotRules(suffix={("", "y"): 1.0, ("", "x"): 1.0}), "zz", "zzx"),
+    (SlotRules(suffix={("", "x"): 1.0, ("", "y"): 1.0}), "zz", "zzx"),
+    (SlotRules(prefix={("", "ü"): 2.0, ("", "u"): 2.0}), "zz", "uzz"),
+    # An empty old loses to a longer applicable one, whatever its support,
+    # and still fires where the longer one does not apply.
+    (SlotRules(suffix={("", "s"): 5.0, ("k", "ked"): 1.0}), "walk", "walked"),
+    (SlotRules(suffix={("", "s"): 5.0, ("k", "ked"): 1.0}), "run", "runs"),
+    (SlotRules(prefix={("", "x"): 5.0, ("ab", "y"): 1.0}), "abc", "yc"),
+    # The prefix rule "ab" matches only the suffix rewrite of "a".
+    (SlotRules(prefix={("", "u"): 3.0, ("ab", "c"): 1.0},
+               suffix={("a", "ab"): 1.0}), "a", "c"),
+    (SlotRules(prefix={("", "u"): 3.0, ("ab", "c"): 1.0},
+               suffix={("a", "ab"): 1.0}), "b", "ub"),
+    # The whole word as old, and an empty slot that copies.
+    (SlotRules(suffix={("go", "went"): 1.0, ("", "es"): 4.0}), "go", "went"),
+    (SlotRules(), "é", "é"),
+])
+def test_hand_built_rules_match_scan_oracle(rules, lemma, expected):
+    table = RuleTable({1: rules})
+    assert oracle.inflect(table, 1, lemma) == expected
+    assert inflect(table, 1, lemma) == expected
+
+
+def test_winners_hold_one_new_per_old():
+    rules = SlotRules(suffix={("", "y"): 1.0, ("", "x"): 1.0, ("k", "ked"): 2.0,
+                              ("k", "kt"): 0.5})
+    assert rules.suffix_winners == {"": "x", "k": "ked"}
+    assert rules.prefix_winners == {}
+
+
+TEXT = st.text(alphabet="abcé", max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from([1, 2]), TEXT, TEXT,
+                  st.sampled_from([0.5, 1.0, 2.0])),
+        max_size=8,
+    ),
+    lemmas=st.lists(TEXT, max_size=6),
+)
+def test_inflect_matches_scan_oracle_property(pairs, lemmas):
+    table = extract_affix_rules(pairs)
+    # Every training word is a lemma too, so the longer olds get hit.
+    words = lemmas + [word for _, lemma, form, _ in pairs for word in (lemma, form)]
+    for slot in table.slots:
+        for word in words:
+            assert inflect(table, slot, word) == oracle.inflect(table, slot, word)

@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -567,6 +568,31 @@ class TestCli:
         ) == 0
         assert filecmp.cmp(str(first), str(second), shallow=False)
         assert "tagged" in capsys.readouterr().out
+
+    def test_tag_command_rejects_a_model_without_the_unk_column(
+        self, lang_paths, tmp_path, capsys
+    ):
+        model = tmp_path / "bad.npz"
+        assert main(
+            [
+                "tag", "--corpus", lang_paths["corpus"],
+                "--out", str(tmp_path / "tags.tsv"), "--model-out", str(model),
+                "--hmm-states", "2", "--hmm-iterations", "1",
+            ]
+        ) == 0
+        data = dict(np.load(str(model), allow_pickle=False))
+        data["emissions"] = data["emissions"][:, :-1]
+        with open(model, "wb") as handle:
+            np.savez(handle, **data)
+        capsys.readouterr()
+        code = main(
+            [
+                "tag", "--corpus", lang_paths["corpus"],
+                "--out", str(tmp_path / "again.tsv"), "--model-in", str(model),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}: start,")
 
     def test_rules_dump_command(self, lang_paths, tmp_path, capsys):
         out = tmp_path / "rules.tsv"

@@ -111,7 +111,7 @@ def test_row_order_does_not_change_predictions(name, seed, shuffled):
     pytest.param(name, 1, None, id=f"{name}-1") for name in sorted(WORKLOADS)
 ] + [
     pytest.param("sparse-seed", 1, mode, id=f"sparse-seed-1-{mode}")
-    for mode in ("pcs-i", "pcs-ii-a", "pcs-iii")
+    for mode in ("pcs-i", "pcs-ii-a", "pcs-iii", "lb", "conll17-k")
 ])
 def test_predictions_match_across_processes_and_hash_seeds(
     tmp_path, name, seed, mode
@@ -138,6 +138,37 @@ def test_predictions_match_across_processes_and_hash_seeds(
     assert digests[0] == digests[1]
     if mode is None:
         assert digests[0] == _golden()[f"{name}:{seed}"]["predictions_sha256"]
+
+
+#: An order-preserving, caseless relabelling of a-z onto Hiragana.
+KANA = str.maketrans({chr(ord("a") + i): chr(0x3041 + i) for i in range(26)})
+
+
+@pytest.mark.parametrize("mode", [
+    "pcs-i", "pcs-ii-a", "pcs-ii-b", "pcs-iii", "pcs-ii+iii", "lb", "conll17-k",
+])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_relabelled_alphabet_gives_relabelled_predictions(tmp_path, name, mode):
+    # Relabelling is a metamorphic check: no stage may depend on which
+    # letters spell the words, only on their order and identity, and
+    # the kana send non-ASCII text through every stage.
+    paths = write_workload(WORKLOADS[name], 1, str(tmp_path))["paths"]
+    kana = {}
+    for key, path in paths.items():
+        kana[key] = str(tmp_path / f"kana-{key}")
+        with open(path, encoding="utf-8") as src, \
+                open(kana[key], "w", encoding="utf-8", newline="\n") as dst:
+            dst.write(src.read().translate(KANA))
+    runs = []
+    for inputs in (paths, kana):
+        out = str(tmp_path / "predictions.tsv")
+        result = run_pipeline(Config(mode=mode), inputs["corpus"],
+                              inputs["lemmas"], inputs["gold"], out)
+        with open(out, encoding="utf-8") as handle:
+            runs.append((handle.read(), result.scores.macro))
+    (plain, plain_macro), (relabelled, relabelled_macro) = runs
+    assert relabelled == plain.translate(KANA)
+    assert relabelled_macro == plain_macro
 
 
 if __name__ == "__main__":

@@ -153,6 +153,25 @@ def test_load_rejects_unknown_version(mini_corpus, tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("name,reshape", [
+    ("emissions", lambda a: a[:, :-1]),  # no UNK column
+    ("emissions", lambda a: a[:-1]),
+    ("transitions", lambda a: a[:, :-1]),
+    ("start", lambda a: a[:0]),
+    ("start", lambda a: a[None, :]),
+])
+def test_load_rejects_bad_array_shapes(mini_corpus, tmp_path, name, reshape):
+    model = train_hmm(mini_corpus, states=2, iterations=2, seed=0)
+    path = tmp_path / "model.npz"
+    save_model(model, str(path))
+    data = dict(np.load(str(path), allow_pickle=False))
+    data[name] = reshape(data[name])
+    with open(path, "wb") as handle:
+        np.savez(handle, **data)
+    with pytest.raises(ValueError, match=r"model\.npz: start, transitions and emissions"):
+        load_model(str(path))
+
+
 def test_write_tagged_format(tmp_path):
     corpus = corpus_from_text(tmp_path, "a b\nc\n")
     out = tmp_path / "tags.tsv"
