@@ -8,7 +8,10 @@ lemmas with their round, the merge log (kept, absorbed,
 (gold slot, predicted slot, ``accuracy.hex()``).  A change that moves
 any of these bytes fails here and has to say which bytes moved and why.
 The predictions must also keep their sha256 when the lines of the lemma
-file or of the corpus are shuffled: row order is not an input.
+file or of the corpus are shuffled: row order is not an input.  Two more
+invariants are checked on the same inputs: ``paracomp run`` writes the
+same bytes under two string-hash seeds, and relabelling the alphabet
+relabels the predictions.
 
 Regenerating the JSON is a deliberate step, taken only when a change is
 meant to alter output bytes::
