@@ -81,6 +81,8 @@ class Config:
             raise ValueError("hmm_iterations must be >= 0")
         if self.unk_threshold < 0:
             raise ValueError("unk_threshold must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.baseline_slots < 1:
             raise ValueError("baseline_slots must be >= 1")
         if self.shots < 1:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
+
+import numpy as np
 
 
 @dataclass
@@ -18,6 +21,9 @@ class Corpus:
 
     ``sentence_boundaries`` holds the exclusive end offset of each
     sentence, strictly increasing, last entry == len(tokens).
+
+    ``types`` and ``ids`` are the same stream as integers, computed on
+    first use and then kept, so the tokens must not change after that.
     """
 
     tokens: list[str]
@@ -26,14 +32,16 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def sentences(self) -> list[tuple[int, int]]:
-        """(start, end) token spans, one per sentence."""
-        spans = []
-        start = 0
-        for end in self.sentence_boundaries:
-            spans.append((start, end))
-            start = end
-        return spans
+    @cached_property
+    def types(self) -> list[str]:
+        """The distinct tokens, in order of first occurrence."""
+        return list(dict.fromkeys(self.tokens))
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """Each token's index into ``types``."""
+        index = {token: i for i, token in enumerate(self.types)}
+        return np.fromiter(map(index.__getitem__, self.tokens), np.intp, len(self.tokens))
 
 
 @dataclass

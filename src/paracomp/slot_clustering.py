@@ -14,7 +14,6 @@ fill the same paradigm slot twice.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,31 +45,37 @@ def _check_window(window: int) -> int:
     return window // 2
 
 
+def _windowed(corpus: Corpus, radius: int) -> np.ndarray:
+    """Positions with ``radius`` tokens of their own sentence on each side."""
+    ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
+    lengths = np.diff(ends, prepend=0)
+    offsets = np.arange(len(corpus)) - np.repeat(ends - lengths, lengths)
+    keep = (offsets >= radius) & (offsets < np.repeat(lengths, lengths) - radius)
+    return np.flatnonzero(keep)
+
+
 def context_counts(
     corpus: Corpus, tags: list[int], radius: int
-) -> dict[str, Counter]:
-    """Tag-window counts per word type, keyed by the tuple of states.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tag-window counts per word type: distinct rows and their counts.
 
-    Only positions whose full window fits inside one sentence count;
+    A row is a type id (an index into ``corpus.types``) followed by the
+    states of its window; the rows come sorted, as tuples.  Only
+    positions whose full window fits inside one sentence count;
     boundary-straddling windows are skipped entirely.
     """
-    counts: dict[str, Counter] = {}
-    for start, end in corpus.sentences():
-        for pos in range(start + radius, end - radius):
-            token = corpus.tokens[pos]
-            bucket = counts.get(token)
-            if bucket is None:
-                bucket = counts[token] = Counter()
-            bucket[tuple(tags[pos - radius:pos + radius + 1])] += 1
-    return counts
+    positions = _windowed(corpus, radius)
+    tags = np.asarray(tags, dtype=np.intp)
+    rows = np.column_stack(
+        [corpus.ids[positions]]
+        + [tags[positions + k] for k in range(-radius, radius + 1)]
+    )
+    return np.unique(rows, axis=0, return_counts=True)
 
 
 def windowed_tokens(corpus: Corpus, window: int) -> int:
     """Tokens whose full window of ``window`` tags fits inside one sentence."""
-    radius = _check_window(window)
-    return sum(
-        max(0, end - start - 2 * radius) for start, end in corpus.sentences()
-    )
+    return _windowed(corpus, _check_window(window)).shape[0]
 
 
 def _form_weights(
@@ -123,32 +128,37 @@ def group_surface_changes(
         raise ValueError(
             f"tag count {len(tags)} does not match corpus length {len(corpus)}"
         )
-    attested = set(corpus.tokens)
-    counts = context_counts(corpus, tags, radius)
+    type_ids = {token: i for i, token in enumerate(corpus.types)}
+    keys, counts = context_counts(corpus, tags, radius)
 
     slots = []
     for slot_id, tree in enumerate(trees, start=1):
         lemma_forms = {}
         for entry in lexicon:
             form = apply(tree, entry.lemma)
-            if form is not None and form in attested:
+            if form is not None and form in type_ids:
                 lemma_forms[entry.lemma] = form
         slots.append(SlotState(slot_id, (tree,), lemma_forms))
 
+    # The form x window table: a row per slot form, by type id, and a
+    # column per window that occurs around some slot form, in sorted order.
     forms = {form for slot in slots for form in slot.lemma_forms.values()}
-    windows = sorted({key for form in forms for key in counts.get(form, ())})
-    column = {key: j for j, key in enumerate(windows)}
+    form_ids = np.array(sorted(type_ids[form] for form in forms), dtype=np.intp)
+    around = np.isin(keys[:, 0], form_ids)
+    windows, column = np.unique(keys[around, 1:], axis=0, return_inverse=True)
+    table = np.zeros((form_ids.shape[0], windows.shape[0]))
+    table[np.searchsorted(form_ids, keys[around, 0]), column] = counts[around]
+    form_row = {corpus.types[i]: r for r, i in enumerate(form_ids.tolist())}
 
     def row(lemma_forms: dict[str, str]) -> np.ndarray:
-        vec = np.zeros(len(column))
+        vec = np.zeros(table.shape[1])
         weights = _form_weights(lemma_forms, lexicon)
         for form in sorted(weights):
-            for key, n in counts.get(form, {}).items():
-                vec[column[key]] += weights[form] * n
+            vec += weights[form] * table[form_row[form]]
         return vec
 
     n = len(slots)
-    vectors = np.zeros((n, len(column)))
+    vectors = np.zeros((n, table.shape[1]))
     owns = np.zeros((n, len(lexicon)), dtype=bool)
     lemma_ids = {entry.lemma: k for k, entry in enumerate(lexicon)}
     for i, slot in enumerate(slots):

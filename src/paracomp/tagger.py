@@ -32,8 +32,6 @@ is reproducible.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,12 +58,9 @@ class HmmModel:
     def states(self) -> int:
         return int(self.start.shape[0])
 
-    def symbol_index(self) -> dict[str, int]:
-        return {symbol: i for i, symbol in enumerate(self.symbols)}
-
 
 def _batches(
-    corpus: Corpus, index: dict[str, int], unk: int
+    corpus: Corpus, symbols: list[str]
 ) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     """Ragged time-major bands of sentences: (positions, symbols, counts).
 
@@ -75,17 +70,19 @@ def _batches(
     its own.
 
     ``positions`` and ``symbols`` are flat, one entry per token of the
-    band, as corpus offsets and as emission indices, OOV mapped to
-    ``unk``.  They run in blocks: block t holds step t of the
-    ``counts[t]`` sentences longer than t, which are the band's first
-    ``counts[t]`` sentences, in band order.  ``counts`` is therefore
-    non-increasing, and its length is the band's longest sentence.
+    band, as corpus offsets and as indices into ``symbols``, a token not
+    in it mapped to ``len(symbols)``, the UNK column.  They run in
+    blocks: block t holds step t of the ``counts[t]`` sentences longer
+    than t, which are the band's first ``counts[t]`` sentences, in band
+    order.  ``counts`` is therefore non-increasing, and its length is
+    the band's longest sentence.
     """
-    codes = np.array([index.get(token, unk) for token in corpus.tokens], dtype=np.intp)
+    index = {symbol: i for i, symbol in enumerate(symbols)}
+    unk = len(symbols)
+    codes = np.array([index.get(t, unk) for t in corpus.types], dtype=np.intp)[corpus.ids]
     ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1]
-    lengths = ends - starts
+    lengths = np.diff(ends, prepend=0)
+    starts = ends - lengths
     order = np.argsort(-lengths, kind="stable")
     starts, lengths = starts[order], lengths[order]
     filled = np.cumsum(lengths)  # tokens in the sentences up to each one
@@ -123,11 +120,6 @@ def _steps(counts: list[int]) -> list[tuple[int, int, int, int]]:
     return bounds
 
 
-def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading part of a flat workspace buffer, viewed as ``shape``."""
-    return buffer[: math.prod(shape)].reshape(shape)
-
-
 def train_hmm(
     corpus: Corpus,
     states: int = 8,
@@ -151,13 +143,11 @@ def train_hmm(
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
 
-    counts = Counter(corpus.tokens)
-    symbols = sorted(t for t, c in counts.items() if c >= unk_threshold)
-    index = {symbol: i for i, symbol in enumerate(symbols)}
-    unk = len(symbols)
-    width = unk + 1
+    counts = np.bincount(corpus.ids).tolist()
+    symbols = sorted(t for t, c in zip(corpus.types, counts) if c >= unk_threshold)
+    width = len(symbols) + 1
     bands = []
-    for _, obs, running in _batches(corpus, index, unk):
+    for _, obs, running in _batches(corpus, symbols):
         steps = _steps(running)
         # A sentence's last row has beta 1 and, with no transition
         # leaving it, a zero row in the xi sum.  The rows from ``head``
@@ -171,10 +161,7 @@ def train_hmm(
     # the backward products emit * beta / scale (each in the row of its
     # predecessor, kept for the xi sum), and the scales.
     size = max(obs.shape[0] for obs, *_ in bands)
-    emit_buf, alpha_buf, beta_buf, weighted_buf = (
-        np.empty(size * states) for _ in range(4)
-    )
-    scale_buf = np.empty(size)
+    workspace = [np.empty((size, states)) for _ in range(4)] + [np.empty((size, 1))]
     ones = np.ones((states, 1))  # x @ ones sums the rows of x
     offsets = np.arange(states)
 
@@ -192,12 +179,7 @@ def train_hmm(
         transitions_t = transitions.T
         ll = 0.0
         for obs, first, head, steps, ended in bands:
-            shape = (obs.shape[0], states)
-            emit = _view(emit_buf, shape)
-            alpha = _view(alpha_buf, shape)
-            beta = _view(beta_buf, shape)
-            weighted = _view(weighted_buf, shape)
-            scale = _view(scale_buf, (shape[0], 1))
+            emit, alpha, beta, weighted, scale = (buf[: obs.shape[0]] for buf in workspace)
             np.take(emit_table, obs, axis=0, out=emit, mode="clip")
 
             now = alpha[:first]
@@ -264,8 +246,6 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     uniform so decoding stays defined.
     """
     states = model.states
-    index = model.symbol_index()
-    unk = len(model.symbols)
     with np.errstate(divide="ignore"):
         log_start = np.log(model.start)
         log_trans = np.log(model.transitions)
@@ -274,11 +254,11 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     log_emit[:, dead] = -np.log(states)
     emit_table = np.ascontiguousarray(log_emit.T)  # (W+1, K)
 
-    bands = _batches(corpus, index, unk)
+    bands = _batches(corpus, model.symbols)
     size = max((obs.shape[0] for _, obs, _ in bands), default=0)
     widest = max((running[0] for _, _, running in bands), default=0)
-    emit_buf = np.empty(size * states)
-    back_buf = np.empty(size * states, dtype=np.intp)
+    emit_buf = np.empty((size, states))
+    back_buf = np.empty((size, states), dtype=np.intp)
     path = np.empty(size, dtype=np.intp)
     scores_buf = np.empty(widest * states * states)
     scores = scores_buf.reshape(widest, states, states)  # (N, previous, next)
@@ -296,8 +276,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     for positions, obs, running in bands:
         first = running[0]
         steps = _steps(running)
-        emit = _view(emit_buf, (obs.shape[0], states))
-        back = _view(back_buf, (obs.shape[0], states))
+        emit = emit_buf[: obs.shape[0]]
         np.take(emit_table, obs, axis=0, out=emit, mode="clip")
         np.add(log_start, emit[:first], out=now[:first])
         # Only the running sentences step, so an ended one keeps the
@@ -306,8 +285,8 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
             n = hi - lo
             block = scores[:n]
             np.add(delta[:n], log_trans, out=block)
-            np.argmax(block, axis=1, out=back[lo:hi])  # first maximum: lower state
-            np.multiply(back[lo:hi], states, out=pick[:n])
+            np.argmax(block, axis=1, out=back_buf[lo:hi])  # first maximum: lower state
+            np.multiply(back_buf[lo:hi], states, out=pick[:n])
             np.add(pick[:n], corner[:n], out=pick[:n])
             # now[n, j] = scores[n, back[n, j], j]
             np.take(scores_buf, pick[:n], out=now[:n], mode="clip")
@@ -317,7 +296,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
             n = hi - lo
             path[lo:hi] = state[:n]
             np.add(row_base[:n], state[:n], out=cell[:n])
-            np.take(back_buf[lo * states :], cell[:n], out=state[:n], mode="clip")
+            np.take(back_buf[lo:], cell[:n], out=state[:n], mode="clip")
         path[:first] = state[:first]
         tags[positions] = path[: obs.shape[0]]
     return tags.tolist()
@@ -370,10 +349,10 @@ def write_tagged(corpus: Corpus, tags: list[int], path: str) -> None:
             f"tag count {len(tags)} does not match corpus length {len(corpus)}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        first = True
-        for start, end in corpus.sentences():
-            if not first:
+        start = 0
+        for end in corpus.sentence_boundaries:
+            if start:
                 handle.write("\n")
-            first = False
             for pos in range(start, end):
                 handle.write(f"{corpus.tokens[pos]}\t{tags[pos]}\n")
+            start = end

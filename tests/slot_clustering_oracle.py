@@ -47,7 +47,7 @@ def context_counts(
     boundary-straddling windows are skipped entirely.
     """
     counts: dict[str, Counter] = {}
-    for start, end in corpus.sentences():
+    for start, end in zip([0, *corpus.sentence_boundaries], corpus.sentence_boundaries):
         for pos in range(start + radius, end - radius):
             idx = window_index(tags, pos, radius, states)
             token = corpus.tokens[pos]
@@ -55,6 +55,25 @@ def context_counts(
             if bucket is None:
                 bucket = counts[token] = Counter()
             bucket[idx] += 1
+    return counts
+
+
+def tuple_context_counts(
+    corpus: Corpus, tags: list[int], radius: int
+) -> dict[str, Counter]:
+    """Tag-window counts per word type, keyed by the tuple of states.
+
+    Only positions whose full window fits inside one sentence count;
+    boundary-straddling windows are skipped entirely.
+    """
+    counts: dict[str, Counter] = {}
+    for start, end in zip([0, *corpus.sentence_boundaries], corpus.sentence_boundaries):
+        for pos in range(start + radius, end - radius):
+            token = corpus.tokens[pos]
+            bucket = counts.get(token)
+            if bucket is None:
+                bucket = counts[token] = Counter()
+            bucket[tuple(tags[pos - radius:pos + radius + 1])] += 1
     return counts
 
 
@@ -97,7 +116,7 @@ def extract_slot_features(
         )
     weights = _form_weights(slot.lemma_forms, lexicon)
     vec = np.zeros(states ** window)
-    for start, end in corpus.sentences():
+    for start, end in zip([0, *corpus.sentence_boundaries], corpus.sentence_boundaries):
         for pos in range(start + radius, end - radius):
             w = weights.get(corpus.tokens[pos])
             if w is None:

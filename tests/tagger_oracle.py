@@ -18,7 +18,7 @@ from paracomp.tagger import HmmModel
 def _encode(corpus: Corpus, index: dict[str, int], unk: int) -> list[np.ndarray]:
     """Sentences as arrays of emission indices, OOV mapped to UNK."""
     encoded = []
-    for start, end in corpus.sentences():
+    for start, end in zip([0, *corpus.sentence_boundaries], corpus.sentence_boundaries):
         encoded.append(
             np.array(
                 [index.get(token, unk) for token in corpus.tokens[start:end]],
@@ -125,7 +125,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     uniform so decoding stays defined.
     """
     states = model.states
-    index = model.symbol_index()
+    index = {symbol: i for i, symbol in enumerate(model.symbols)}
     unk = len(model.symbols)
     with np.errstate(divide="ignore"):
         log_start = np.log(model.start)

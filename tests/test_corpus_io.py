@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from paracomp.config import Config, parse_config_file
@@ -22,12 +23,28 @@ def test_load_corpus_basic(tmp_path):
     corpus, vocab = load_corpus(str(path))
     assert corpus.tokens == ["the", "cat", "sat", ".", "dogs", "bark"]
     assert corpus.sentence_boundaries == [4, 6]
-    assert corpus.sentences() == [(0, 4), (4, 6)]
     assert len(corpus) == 6
     assert "cat" in vocab and "dogs" in vocab
     assert "missing" not in vocab
     assert vocab.counts["the"] == 1
     assert len(vocab) == 6
+
+
+def test_corpus_ids_index_first_seen_types(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("b ä b\nc\nä a b\n", encoding="utf-8")
+    corpus, _ = load_corpus(str(path))
+    same = Corpus(list(corpus.tokens), list(corpus.sentence_boundaries))
+    # Computed on first use only, and never part of equality.
+    assert "types" not in vars(corpus) and "ids" not in vars(corpus)
+    assert corpus.types == ["b", "ä", "c", "a"]
+    assert corpus.ids.dtype == np.intp
+    assert corpus.ids.tolist() == [0, 1, 0, 2, 1, 3, 0]
+    assert [corpus.types[i] for i in corpus.ids] == corpus.tokens
+    assert corpus == same and same == corpus
+    assert corpus != Corpus(corpus.tokens, [3, 7])
+    assert same.ids.tolist() == corpus.ids.tolist() and corpus == same
+    assert Corpus([], []).ids.shape == (0,)
 
 
 def test_load_corpus_counts_repeats(tmp_path):

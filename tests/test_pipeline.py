@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import filecmp
 import os
@@ -53,6 +54,7 @@ class TestConfig:
             ({"hmm_states": 0}, "hmm_states"),
             ({"hmm_iterations": -1}, "hmm_iterations"),
             ({"unk_threshold": -1}, "unk_threshold"),
+            ({"seed": -1}, "seed"),
             ({"baseline_slots": 0}, "baseline_slots"),
             ({"shots": 0}, "shots"),
         ],
@@ -168,6 +170,23 @@ def test_readme_names_every_oracle_file():
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     present = {name for name in os.listdir(tests_dir) if name.endswith("_oracle.py")}
     assert named == present
+
+
+def test_paracomp_imports_no_oracle():
+    # The oracles are test references; the package must run without them.
+    package = os.path.join(os.path.dirname(README), "src", "paracomp")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.append(node.module)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported += [alias.name for alias in node.names]
+        assert not [m for m in imported if m.split(".")[-1].endswith("_oracle")], name
 
 
 class TestTreeModes:

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slot_clustering_oracle as oracle
@@ -51,10 +52,24 @@ def test_window_index_is_mixed_radix():
     assert window_index([7, 7, 7], center=1, radius=1, states=8) == 511
 
 
+def assert_counts_match_oracle(corpus, tags, radius):
+    """Same counts as the dict oracle, as sorted distinct rows; returns them."""
+    keys, counts = context_counts(corpus, tags, radius)
+    assert keys.shape == (counts.shape[0], 2 + 2 * radius)
+    rows = [tuple(key) for key in keys.tolist()]
+    assert rows == sorted(set(rows))
+    got: dict[str, Counter] = {}
+    for (type_id, *window), n in zip(rows, counts.tolist()):
+        got.setdefault(corpus.types[type_id], Counter())[tuple(window)] = n
+    want = oracle.tuple_context_counts(corpus, tags, radius)
+    assert got == want
+    return want
+
+
 def test_context_counts_skip_sentence_boundaries():
     corpus = corpus_of(["a", "b", "c"], ["d", "e"])
     tags = [1, 2, 3, 0, 1]
-    counts = context_counts(corpus, tags, radius=1)
+    counts = assert_counts_match_oracle(corpus, tags, radius=1)
     # Only "b" has a full window inside its sentence; the two-token
     # sentence contributes nothing at radius 1.
     assert counts == {"b": {(1, 2, 3): 1}}
@@ -62,8 +77,30 @@ def test_context_counts_skip_sentence_boundaries():
 
 def test_context_counts_radius_zero_counts_everything():
     corpus = corpus_of(["a", "b"], ["a"])
-    counts = context_counts(corpus, [3, 1, 2], radius=0)
+    counts = assert_counts_match_oracle(corpus, [3, 1, 2], radius=0)
     assert counts == {"a": {(3,): 1, (2,): 1}, "b": {(1,): 1}}
+
+
+@st.composite
+def tagged_corpora(draw):
+    """Short sentences of non-ASCII words, often shorter than the window."""
+    word = st.text(alphabet="aé日\u3041", min_size=1, max_size=2)
+    sentences = draw(st.lists(st.lists(word, min_size=1, max_size=7), max_size=6))
+    corpus = corpus_of(*sentences)
+    states = draw(st.integers(1, 3))
+    tags = draw(st.lists(
+        st.integers(0, states - 1), min_size=len(corpus), max_size=len(corpus)
+    ))
+    return corpus, tags
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tagged_corpora(), radius=st.integers(0, 3))
+@example(case=(corpus_of(["日"], ["a", "é"], ["x"]), [0, 1, 2, 0]), radius=1)
+@example(case=(corpus_of(), []), radius=0)
+def test_context_counts_match_dict_oracle(case, radius):
+    corpus, tags = case
+    assert_counts_match_oracle(corpus, tags, radius)
 
 
 def test_slot_features_weight_occurrences_by_lemma_weight():
@@ -286,10 +323,8 @@ def test_windowed_tokens_counts_the_positions_context_counts_uses():
     corpus = corpus_of(["a"], ["a", "b", "c"], ["a", "b", "c", "d", "e"])
     tags = [0] * len(corpus)
     for window in (1, 3, 5, 7):
-        counted = context_counts(corpus, tags, window // 2)
-        assert windowed_tokens(corpus, window) == sum(
-            sum(bucket.values()) for bucket in counted.values()
-        )
+        _, counts = context_counts(corpus, tags, window // 2)
+        assert windowed_tokens(corpus, window) == counts.sum()
     assert [windowed_tokens(corpus, w) for w in (1, 3, 5, 7)] == [9, 4, 1, 0]
     with pytest.raises(ValueError, match="odd"):
         windowed_tokens(corpus, 2)

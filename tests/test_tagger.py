@@ -268,10 +268,10 @@ def test_batches_split_across_chunks_agree(tmp_path, monkeypatch, budget):
     corpus = corpus_from_text(tmp_path, INTERLEAVED * 3)
     whole = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
     whole_tags = tag_corpus(whole, corpus)
-    assert len(tagger._batches(corpus, {}, 0)) == 1  # one band of 78 tokens
+    assert len(tagger._batches(corpus, [])) == 1  # one band of 78 tokens
 
     monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
-    assert len(tagger._batches(corpus, {}, 0)) > 1
+    assert len(tagger._batches(corpus, [])) > 1
     split = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
     assert_models_agree(split, whole)
     assert tag_corpus(whole, corpus) == whole_tags
@@ -303,7 +303,7 @@ def test_clause_corpus_has_every_length():
     lengths = np.diff([0, *corpus.sentence_boundaries])
     assert set(lengths) == set(range(3, 37, 3))
     assert 2000 <= len(corpus) < 2036
-    assert len(tagger._batches(corpus, {}, 0)) == 1  # within the default budget
+    assert len(tagger._batches(corpus, [])) == 1  # within the default budget
 
 
 @pytest.mark.parametrize(
@@ -334,7 +334,7 @@ def assert_bands_partition(corpus, budget):
     starts, lengths = starts[order], (ends - starts)[order]
     codes = np.array([index.get(token, unk) for token in corpus.tokens])
     with mock.patch.object(tagger, "BATCH_TOKENS", budget):
-        bands = tagger._batches(corpus, index, unk)
+        bands = tagger._batches(corpus, list(index))
 
     seen = []
     taken = 0
@@ -376,7 +376,7 @@ def test_uniform_lengths_give_unmasked_length_groups(budget):
     sentences = 50
     corpus = Corpus(["a", "b", "cat"] * sentences, list(range(3, 3 * sentences + 1, 3)))
     with mock.patch.object(tagger, "BATCH_TOKENS", budget):
-        bands = tagger._batches(corpus, {"a": 0, "b": 1}, 2)
+        bands = tagger._batches(corpus, ["a", "b"])
     # Corpus order, budget // length sentences a band, three full blocks each.
     rows = max(1, budget // 3)
     firsts = np.arange(0, 3 * sentences, 3)
@@ -394,7 +394,7 @@ def test_sentences_ending_early_in_a_band_match_loop(tmp_path, monkeypatch):
     # the workspace rows where they end.
     corpus = corpus_from_text(tmp_path, "b b\na a a a a\nb\nb a b a b a b a\n")
     monkeypatch.setattr(tagger, "BATCH_TOKENS", 8)
-    assert [counts for *_, counts in tagger._batches(corpus, {}, 0)] == [
+    assert [counts for *_, counts in tagger._batches(corpus, [])] == [
         [1] * 8, [3, 2, 1, 1, 1]
     ]
     # Sticky states that each prefer one symbol: the sentences of b end
@@ -456,7 +456,7 @@ def test_training_memory_is_bounded_by_the_band_budget(monkeypatch):
     budget, states = 256, 64
     monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
     corpus = clause_corpus(tokens=8192)
-    assert len(tagger._batches(corpus, {}, 0)) >= 20
+    assert len(tagger._batches(corpus, [])) >= 20
     # Sixteen band-sized float arrays.  One float array of corpus tokens x
     # states would not fit, so working memory must not grow with the corpus.
     bound = 16 * budget * states * 8
