@@ -13,7 +13,8 @@ import sys
 
 from .config import MODES, Config, build_config, parse_config_file
 from .corpus_io import load_corpus
-from .pipeline import StageError, dump_pipeline_rules, run_pipeline
+from .inflection import dump_rules
+from .pipeline import StageError, run_pipeline
 from .synth import generate_language
 from .tagger import load_model, save_model, tag_corpus, train_hmm, write_tagged
 
@@ -112,7 +113,7 @@ def _cmd_rules_dump(args: argparse.Namespace) -> int:
         lexicon_path=args.lemmas,
         gold_path=args.gold,
     )
-    dump_pipeline_rules(result, args.out)
+    dump_rules(result.rules, args.out)
     print(f"wrote rules for {result.slot_count} slots -> {args.out}")
     return 0
 

@@ -7,12 +7,20 @@ pre-tokenized sentence per line, tokens separated by whitespace.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
 import numpy as np
+
+
+class Vocabulary(dict):
+    """Each distinct token of a corpus mapped to its type id, in first-seen order."""
+
+    @property
+    def types(self):
+        return self.keys()
 
 
 @dataclass
@@ -22,8 +30,8 @@ class Corpus:
     ``sentence_boundaries`` holds the exclusive end offset of each
     sentence, strictly increasing, last entry == len(tokens).
 
-    ``types`` and ``ids`` are the same stream as integers, computed on
-    first use and then kept, so the tokens must not change after that.
+    ``vocab``, ``types`` and ``ids`` are computed on first use and then
+    kept, so the tokens must not change after that.
     """
 
     tokens: list[str]
@@ -33,32 +41,19 @@ class Corpus:
         return len(self.tokens)
 
     @cached_property
+    def vocab(self) -> Vocabulary:
+        """The one type table: each distinct token -> its type id."""
+        return Vocabulary(zip(dict.fromkeys(self.tokens), itertools.count()))
+
+    @cached_property
     def types(self) -> list[str]:
         """The distinct tokens, in order of first occurrence."""
-        return list(dict.fromkeys(self.tokens))
+        return list(self.vocab)
 
     @cached_property
     def ids(self) -> np.ndarray:
         """Each token's index into ``types``."""
-        index = {token: i for i, token in enumerate(self.types)}
-        return np.fromiter(map(index.__getitem__, self.tokens), np.intp, len(self.tokens))
-
-
-@dataclass
-class Vocabulary:
-    """Distinct word types of a corpus with their token counts."""
-
-    counts: Counter = field(default_factory=Counter)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.counts
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    @property
-    def types(self):
-        return self.counts.keys()
+        return np.fromiter(map(self.vocab.__getitem__, self.tokens), np.intp, len(self))
 
 
 def _lines(path: str):
@@ -80,7 +75,7 @@ def _lines(path: str):
 
 
 def load_corpus(path: str) -> tuple[Corpus, Vocabulary]:
-    """Read a one-sentence-per-line corpus file.
+    """Read a one-sentence-per-line corpus file: the corpus and its ``vocab``.
 
     Blank lines are skipped.  Invalid UTF-8 is rejected with the
     offending line number in the message.
@@ -92,7 +87,8 @@ def load_corpus(path: str) -> tuple[Corpus, Vocabulary]:
         if words:
             tokens.extend(words)
             boundaries.append(len(tokens))
-    return Corpus(tokens, boundaries), Vocabulary(Counter(tokens))
+    corpus = Corpus(tokens, boundaries)
+    return corpus, corpus.vocab
 
 
 def load_lexicon(path: str) -> list[str]:

@@ -17,7 +17,7 @@ Any failure is wrapped in StageError naming the stage that died.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -33,7 +33,7 @@ from .corpus_io import (
 )
 from .edit_tree import EditTree, apply
 from .evaluation import BmaccResult, best_match_accuracy, lemma_baseline
-from .inflection import RuleTable, SlotRules, dump_rules, extract_affix_rules, inflect
+from .inflection import RuleTable, SlotRules, extract_affix_rules, inflect
 from .lexicon import WeightedLexicon
 from .slot_clustering import MergeEvent, SlotState, group_surface_changes, windowed_tokens
 from .tagger import HmmModel, tag_corpus, train_hmm
@@ -144,12 +144,12 @@ def run_pipeline(
             rng = random.Random(config.seed)
             sampled = rng.sample(pool, config.shots)
         with _stage("rules", timings):
-            triples = []
+            examples: dict[str, dict[str, str]] = {}
             for lemma in sampled:
-                for slot_label in sorted(gold[lemma]):
-                    triples.append((slot_label, lemma, gold[lemma][slot_label], 1.0))
-            result.rules = extract_affix_rules(triples)
-            labels = sorted(result.rules.slots, key=str)
+                for label, form in gold[lemma].items():
+                    examples.setdefault(label, {})[lemma] = form
+            labels = sorted(examples)
+            result.rules = _rules(examples, lambda lemma: 1.0)
         with _stage("generate", timings):
             result.predictions = _generate_predictions(result.rules, lemmas, labels)
             result.slot_count = len(labels)
@@ -201,7 +201,10 @@ def run_pipeline(
                     window=config.context_window,
                 )
             with _stage("generate", timings):
-                result.rules = _slot_rules(result.slots, boot.lexicon)
+                result.rules = _rules(
+                    {i: slot.lemma_forms for i, slot in enumerate(result.slots, 1)},
+                    boot.lexicon.weight,
+                )
                 result.predictions = _generate_predictions(
                     result.rules,
                     boot.lexicon.gold_lemmas(),
@@ -238,17 +241,17 @@ def _trees_to_predictions(
     return predictions
 
 
-def _slot_rules(slots: list[SlotState], lexicon: WeightedLexicon) -> RuleTable:
-    """Affix rules per output slot id (1-based, in slot id order)."""
-    triples = []
-    for slot_id, slot in enumerate(slots, start=1):
-        for lemma in sorted(slot.lemma_forms):
-            triples.append(
-                (slot_id, lemma, slot.lemma_forms[lemma], lexicon.weight(lemma))
-            )
-    table = extract_affix_rules(triples)
-    for slot_id in range(1, len(slots) + 1):
-        table.slots.setdefault(slot_id, SlotRules())
+def _rules(
+    examples: dict[Hashable, dict[str, str]], weight: Callable[[str], float]
+) -> RuleTable:
+    """Affix rules per label from {lemma: form} examples; every label gets a slot."""
+    table = extract_affix_rules(
+        (label, lemma, forms[lemma], weight(lemma))
+        for label, forms in examples.items()
+        for lemma in sorted(forms)
+    )
+    for label in examples:
+        table.slots.setdefault(label, SlotRules())
     return table
 
 
@@ -311,9 +314,3 @@ def build_report(result: PipelineResult, config: Config) -> str:
         lines.append(f"gold_slots={scores.gold_slots}")
         lines.append(f"predicted_slots={scores.predicted_slots}")
     return "\n".join(lines) + "\n"
-
-
-def dump_pipeline_rules(result: PipelineResult, path: str) -> None:
-    if result.rules is None:
-        raise ValueError(f"mode {result.mode!r} produced no rule table")
-    dump_rules(result.rules, path)

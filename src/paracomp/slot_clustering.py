@@ -128,7 +128,6 @@ def group_surface_changes(
         raise ValueError(
             f"tag count {len(tags)} does not match corpus length {len(corpus)}"
         )
-    type_ids = {token: i for i, token in enumerate(corpus.types)}
     keys, counts = context_counts(corpus, tags, radius)
 
     slots = []
@@ -136,19 +135,19 @@ def group_surface_changes(
         lemma_forms = {}
         for entry in lexicon:
             form = apply(tree, entry.lemma)
-            if form is not None and form in type_ids:
+            if form is not None and form in corpus.vocab:
                 lemma_forms[entry.lemma] = form
         slots.append(SlotState(slot_id, (tree,), lemma_forms))
 
     # The form x window table: a row per slot form, by type id, and a
     # column per window that occurs around some slot form, in sorted order.
     forms = {form for slot in slots for form in slot.lemma_forms.values()}
-    form_ids = np.array(sorted(type_ids[form] for form in forms), dtype=np.intp)
+    form_row = {form: r for r, form in enumerate(sorted(forms, key=corpus.vocab.get))}
+    form_ids = np.array([corpus.vocab[form] for form in form_row], dtype=np.intp)
     around = np.isin(keys[:, 0], form_ids)
     windows, column = np.unique(keys[around, 1:], axis=0, return_inverse=True)
     table = np.zeros((form_ids.shape[0], windows.shape[0]))
     table[np.searchsorted(form_ids, keys[around, 0]), column] = counts[around]
-    form_row = {corpus.types[i]: r for r, i in enumerate(form_ids.tolist())}
 
     def row(lemma_forms: dict[str, str]) -> np.ndarray:
         vec = np.zeros(table.shape[1])

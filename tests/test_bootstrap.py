@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +9,7 @@ from paracomp.bootstrap import (
     min_discovery_evidence,
 )
 from paracomp.config import Config
-from paracomp.corpus_io import Vocabulary
+from paracomp.corpus_io import Corpus, Vocabulary
 from paracomp.edit_tree import IDENTITY, Match, Replace, construct, to_sexpr
 from paracomp.lexicon import LexiconEntry, WeightedLexicon
 from paracomp.synth import generate_language
@@ -23,7 +21,7 @@ FOUR_TREES = [IDENTITY, APPEND_ED, APPEND_S, APPEND_ING]
 
 
 def vocab_of(*words) -> Vocabulary:
-    return Vocabulary(Counter(words))
+    return Corpus(list(words), [len(words)]).vocab
 
 
 def census_bits(census):
@@ -184,7 +182,7 @@ def retrieval_cases(draw):
     # Drawing from the pool with repetition gives duplicate trees.
     trees = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
     factor = draw(st.sampled_from([0.0, 0.2, 0.5]))
-    return Vocabulary(Counter(words)), trees, WeightedLexicon.from_lemmas(lemmas), factor
+    return vocab_of(*words), trees, WeightedLexicon.from_lemmas(lemmas), factor
 
 
 @settings(max_examples=400, deadline=None)
@@ -219,7 +217,7 @@ def matches_oracle(vocab, lexicon, rounds, settings_):
 def _sparse_seed_language(seed):
     """A language the size of the sparse-seed benchmark: a quarter seeded."""
     lang = generate_language(slots=6, lemmas=200, classes=3, tokens=5000, seed=seed)
-    vocab = Vocabulary(Counter(tok for sentence in lang.sentences for tok in sentence))
+    vocab = vocab_of(*(tok for sentence in lang.sentences for tok in sentence))
     return vocab, WeightedLexicon.from_lemmas(lang.lexicon[::4])
 
 

@@ -1,7 +1,7 @@
-from collections import Counter
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paracomp.config import Config, parse_config_file
 from paracomp.corpus_io import (
@@ -26,7 +26,7 @@ def test_load_corpus_basic(tmp_path):
     assert len(corpus) == 6
     assert "cat" in vocab and "dogs" in vocab
     assert "missing" not in vocab
-    assert vocab.counts["the"] == 1
+    assert list(vocab.types) == corpus.tokens
     assert len(vocab) == 6
 
 
@@ -47,13 +47,34 @@ def test_corpus_ids_index_first_seen_types(tmp_path):
     assert Corpus([], []).ids.shape == (0,)
 
 
-def test_load_corpus_counts_repeats(tmp_path):
+def test_load_corpus_repeats_share_one_id(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("a b a\na\n", encoding="utf-8")
     corpus, vocab = load_corpus(str(path))
-    assert vocab.counts["a"] == 3
-    assert vocab.counts["b"] == 1
+    assert vocab == {"a": 0, "b": 1}
+    assert corpus.ids.tolist() == [0, 1, 0, 0]
     assert corpus.sentence_boundaries == [3, 4]
+
+
+# Lowercase-stable, non-whitespace characters, with a combining accent.
+_tokens = st.lists(
+    st.text(alphabet="aäßαжщ汉🦉\u0301", min_size=1, max_size=4), max_size=30
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_tokens, max_size=6))
+def test_vocab_is_the_one_type_table(tmp_path_factory, sentences):
+    path = tmp_path_factory.mktemp("vocab") / "corpus.txt"
+    path.write_text("".join(" ".join(s) + "\n" for s in sentences), encoding="utf-8")
+    corpus, vocab = load_corpus(str(path))
+    assert vocab is corpus.vocab
+    assert "ids" not in vars(corpus)
+    assert corpus.tokens == [token for s in sentences for token in s]
+    assert list(corpus.vocab) == corpus.types
+    for i, token in enumerate(corpus.types):
+        assert corpus.vocab[token] == i
+    assert [corpus.types[i] for i in corpus.ids] == corpus.tokens
 
 
 def test_load_corpus_rejects_bad_utf8(tmp_path):
@@ -201,7 +222,7 @@ def test_readers_drop_a_leading_byte_order_mark(tmp_path, reader, text):
 @pytest.mark.parametrize("reader,text,expected", [
     (load_corpus, f"{BOM}{BOM}walk talk\nr{BOM}an\n", (
         Corpus([f"{BOM}walk", "talk", f"r{BOM}an"], [2, 3]),
-        Vocabulary(Counter([f"{BOM}walk", "talk", f"r{BOM}an"])),
+        Vocabulary({f"{BOM}walk": 0, "talk": 1, f"r{BOM}an": 2}),
     )),
     (load_lexicon, f"{BOM}{BOM}walk\n{BOM}talk\n", [f"{BOM}walk", f"{BOM}talk"]),
     (load_gold, f"{BOM}{BOM}walk\twalked\tPST\ntalk\ttalked{BOM}\tPST\n", {

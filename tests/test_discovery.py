@@ -1,11 +1,9 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discovery_oracle as oracle
-from paracomp.corpus_io import Vocabulary, load_corpus
+from paracomp.corpus_io import Corpus, Vocabulary, load_corpus
 from paracomp.discovery import (
     find_candidates,
     min_tree_support,
@@ -19,7 +17,7 @@ APPEND_ED = Match(0, 0, Replace("", ""), Replace("", "ed"))
 
 
 def vocab_of(*words) -> Vocabulary:
-    return Vocabulary(Counter(words))
+    return Corpus(list(words), [len(words)]).vocab
 
 
 def test_min_tree_support_values():

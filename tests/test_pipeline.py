@@ -376,6 +376,27 @@ class TestOtherModes:
             )
         assert info.value.stage == "sample"
 
+    def test_supervised_skyline_keeps_a_slot_without_rules(self, tmp_path):
+        # Seed 1 samples "go", whose PST form "went" shares no substring
+        # with it: the slot learns no rule and copies the lemma.
+        lemmas = tmp_path / "lemmas.txt"
+        lemmas.write_text("go\nwalk\n", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(
+            "go\tgoes\tPRS\ngo\twent\tPST\n"
+            "walk\twalks\tPRS\nwalk\twalked\tPST\n",
+            encoding="utf-8",
+        )
+        result = run_pipeline(
+            Config(mode="conll17-k", shots=1, seed=1),
+            lexicon_path=str(lemmas),
+            gold_path=str(gold),
+        )
+        assert "predicted slots: 2\n" in result.report
+        assert result.slot_count == 2
+        pst = {lemma: row[2] for lemma, row in result.predictions.items()}
+        assert pst == {"go": "go", "walk": "walk"}
+
     def test_eval_mode_round_trip(self, lang_paths, tmp_path):
         out = tmp_path / "pred.tsv"
         first = run_pipeline(
