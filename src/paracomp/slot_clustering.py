@@ -5,11 +5,10 @@ applies to and the attested forms it produces.  A slot is described by
 a vector over the tag windows observed around its forms: every corpus
 occurrence of one of its forms adds the producing lemmas' weights to
 the coordinate of the tuple of tagger states around that occurrence.
-The vectors are the rows of one matrix whose columns are the distinct
-windows around any slot's forms, in sorted order, and slots are scored
-from its Gram matrix.  Slots whose vectors point the same way are
-merged greedily, but never when they share a lemma: one lemma cannot
-fill the same paradigm slot twice.
+The vectors are sums of rows of one form x window table, counted over
+the windows around slot forms only.  Slots are scored from their Gram
+matrix and merged greedily while their vectors point the same way, but
+never when they share a lemma: one lemma cannot fill a slot twice.
 """
 
 from __future__ import annotations
@@ -55,22 +54,23 @@ def _windowed(corpus: Corpus, radius: int) -> np.ndarray:
 
 
 def context_counts(
-    corpus: Corpus, tags: list[int], radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tag-window counts per word type: distinct rows and their counts.
+    corpus: Corpus, tags: list[int], radius: int, type_ids: np.ndarray
+) -> np.ndarray:
+    """The ``type_ids`` x tag-window count table, for ascending type ids.
 
-    A row is a type id (an index into ``corpus.types``) followed by the
-    states of its window; the rows come sorted, as tuples.  Only
-    positions whose full window fits inside one sentence count;
-    boundary-straddling windows are skipped entirely.
+    Row r counts the windows around ``type_ids[r]``, one column per
+    distinct window around any of them, in sorted order.  Only windows
+    that fit inside one sentence count.
     """
     positions = _windowed(corpus, radius)
+    positions = positions[np.isin(corpus.ids[positions], type_ids)]
+    row = np.searchsorted(type_ids, corpus.ids[positions])
     tags = np.asarray(tags, dtype=np.intp)
-    rows = np.column_stack(
-        [corpus.ids[positions]]
-        + [tags[positions + k] for k in range(-radius, radius + 1)]
-    )
-    return np.unique(rows, axis=0, return_counts=True)
+    around = positions[:, None] + np.arange(-radius, radius + 1)
+    windows, column = np.unique(tags[around], axis=0, return_inverse=True)
+    columns = windows.shape[0]
+    counts = np.bincount(row * columns + column, minlength=len(type_ids) * columns)
+    return counts.reshape(len(type_ids), columns).astype(np.float64)
 
 
 def windowed_tokens(corpus: Corpus, window: int) -> int:
@@ -128,7 +128,6 @@ def group_surface_changes(
         raise ValueError(
             f"tag count {len(tags)} does not match corpus length {len(corpus)}"
         )
-    keys, counts = context_counts(corpus, tags, radius)
 
     slots = []
     for slot_id, tree in enumerate(trees, start=1):
@@ -139,15 +138,10 @@ def group_surface_changes(
                 lemma_forms[entry.lemma] = form
         slots.append(SlotState(slot_id, (tree,), lemma_forms))
 
-    # The form x window table: a row per slot form, by type id, and a
-    # column per window that occurs around some slot form, in sorted order.
     forms = {form for slot in slots for form in slot.lemma_forms.values()}
     form_row = {form: r for r, form in enumerate(sorted(forms, key=corpus.vocab.get))}
     form_ids = np.array([corpus.vocab[form] for form in form_row], dtype=np.intp)
-    around = np.isin(keys[:, 0], form_ids)
-    windows, column = np.unique(keys[around, 1:], axis=0, return_inverse=True)
-    table = np.zeros((form_ids.shape[0], windows.shape[0]))
-    table[np.searchsorted(form_ids, keys[around, 0]), column] = counts[around]
+    table = context_counts(corpus, tags, radius, form_ids)
 
     def row(lemma_forms: dict[str, str]) -> np.ndarray:
         vec = np.zeros(table.shape[1])

@@ -32,6 +32,7 @@ is reproducible.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,17 +321,21 @@ def save_model(model: HmmModel, path: str) -> None:
 
 
 def load_model(path: str) -> HmmModel:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"][0])
-        if version != _SAVE_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        model = HmmModel(
-            start=data["start"],
-            transitions=data["transitions"],
-            emissions=data["emissions"],
-            symbols=[str(s) for s in data["symbols"]],
-            log_likelihoods=[float(v) for v in data["log_likelihoods"]],
-        )
+    """Read a model that ``save_model`` wrote; any other file is a ValueError."""
+    try:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
+            version = int(data["version"][0])
+            if version != _SAVE_VERSION:
+                raise ValueError(f"{path}: unsupported model version {version}")
+            model = HmmModel(
+                start=data["start"],
+                transitions=data["transitions"],
+                emissions=data["emissions"],
+                symbols=[str(s) for s in data["symbols"]],
+                log_likelihoods=[float(v) for v in data["log_likelihoods"]],
+            )
+    except (EOFError, IndexError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a saved model: {exc}") from exc
     states = model.start.shape[0] if model.start.ndim == 1 else 0
     got = (model.start.shape, model.transitions.shape, model.emissions.shape)
     need = ((states,), (states, states), (states, len(model.symbols) + 1))

@@ -634,6 +634,22 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {model}: start,")
 
+    def test_tag_command_rejects_a_file_that_is_not_a_model(
+        self, lang_paths, tmp_path, capsys
+    ):
+        model = tmp_path / "empty.npz"
+        model.write_bytes(b"")
+        code = main(
+            [
+                "tag", "--corpus", lang_paths["corpus"],
+                "--out", str(tmp_path / "tags.tsv"), "--model-in", str(model),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {model}: not a saved model"
+        )
+
     def test_rules_dump_command(self, lang_paths, tmp_path, capsys):
         out = tmp_path / "rules.tsv"
         code = main(

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,24 +51,31 @@ def test_window_index_is_mixed_radix():
     assert window_index([7, 7, 7], center=1, radius=1, states=8) == 511
 
 
-def assert_counts_match_oracle(corpus, tags, radius):
-    """Same counts as the dict oracle, as sorted distinct rows; returns them."""
-    keys, counts = context_counts(corpus, tags, radius)
-    assert keys.shape == (counts.shape[0], 2 + 2 * radius)
-    rows = [tuple(key) for key in keys.tolist()]
-    assert rows == sorted(set(rows))
-    got: dict[str, Counter] = {}
-    for (type_id, *window), n in zip(rows, counts.tolist()):
-        got.setdefault(corpus.types[type_id], Counter())[tuple(window)] = n
-    want = oracle.tuple_context_counts(corpus, tags, radius)
-    assert got == want
+def assert_counts_match_oracle(corpus, tags, radius, type_ids):
+    """The table holds the dict oracle's counts of ``type_ids``, one column
+    per distinct window around them, in sorted order; returns the counts."""
+    type_ids = np.array(type_ids, dtype=np.intp)
+    table = context_counts(corpus, tags, radius, type_ids)
+    want = {
+        token: counts
+        for token, counts in oracle.tuple_context_counts(corpus, tags, radius).items()
+        if corpus.vocab[token] in type_ids
+    }
+    columns = sorted({window for counts in want.values() for window in counts})
+    expected = [
+        [want.get(corpus.types[t], {}).get(window, 0) for window in columns]
+        for t in type_ids
+    ]
+    assert table.dtype == np.float64
+    assert table.shape == (len(type_ids), len(columns))
+    assert table.tolist() == expected
     return want
 
 
 def test_context_counts_skip_sentence_boundaries():
     corpus = corpus_of(["a", "b", "c"], ["d", "e"])
     tags = [1, 2, 3, 0, 1]
-    counts = assert_counts_match_oracle(corpus, tags, radius=1)
+    counts = assert_counts_match_oracle(corpus, tags, radius=1, type_ids=range(5))
     # Only "b" has a full window inside its sentence; the two-token
     # sentence contributes nothing at radius 1.
     assert counts == {"b": {(1, 2, 3): 1}}
@@ -77,13 +83,14 @@ def test_context_counts_skip_sentence_boundaries():
 
 def test_context_counts_radius_zero_counts_everything():
     corpus = corpus_of(["a", "b"], ["a"])
-    counts = assert_counts_match_oracle(corpus, [3, 1, 2], radius=0)
+    counts = assert_counts_match_oracle(corpus, [3, 1, 2], radius=0, type_ids=[0, 1])
     assert counts == {"a": {(3,): 1, (2,): 1}, "b": {(1,): 1}}
 
 
 @st.composite
 def tagged_corpora(draw):
-    """Short sentences of non-ASCII words, often shorter than the window."""
+    """Short sentences of non-ASCII words, often shorter than the window,
+    with a sorted subset of their type ids."""
     word = st.text(alphabet="aé日\u3041", min_size=1, max_size=2)
     sentences = draw(st.lists(st.lists(word, min_size=1, max_size=7), max_size=6))
     corpus = corpus_of(*sentences)
@@ -91,16 +98,27 @@ def tagged_corpora(draw):
     tags = draw(st.lists(
         st.integers(0, states - 1), min_size=len(corpus), max_size=len(corpus)
     ))
-    return corpus, tags
+    keep = draw(st.lists(
+        st.booleans(), min_size=len(corpus.types), max_size=len(corpus.types)
+    ))
+    return corpus, tags, [t for t in range(len(corpus.types)) if keep[t]]
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=tagged_corpora(), radius=st.integers(0, 3))
-@example(case=(corpus_of(["日"], ["a", "é"], ["x"]), [0, 1, 2, 0]), radius=1)
-@example(case=(corpus_of(), []), radius=0)
+@example(
+    case=(corpus_of(["日"], ["a", "é"], ["x"]), [0, 1, 2, 0], [0, 1, 2, 3]), radius=1
+)
+# No types asked for: a 0 x 0 table.
+@example(case=(corpus_of(["a", "b"], ["a"]), [0, 1, 0], []), radius=0)
+# "a" and "d" sit at sentence edges, so no window fits: a 2 x 0 table.
+@example(
+    case=(corpus_of(["a", "b", "c"], ["d", "e"]), [1, 2, 3, 0, 1], [0, 3]), radius=1
+)
+@example(case=(corpus_of(), [], []), radius=0)
 def test_context_counts_match_dict_oracle(case, radius):
-    corpus, tags = case
-    assert_counts_match_oracle(corpus, tags, radius)
+    corpus, tags, type_ids = case
+    assert_counts_match_oracle(corpus, tags, radius, type_ids)
 
 
 def test_slot_features_weight_occurrences_by_lemma_weight():
@@ -311,6 +329,19 @@ def clustering_cases(draw):
     window=st.sampled_from([1, 3, 5]),
     threshold=st.sampled_from([0.0, 0.3, 0.999]),
 )
+# No tree output is attested: a table with no rows.
+@example(
+    case=([construct("a", "c")], corpus_of(["b"]), [0],
+          WeightedLexicon.from_lemmas(["a"]), 1),
+    window=3, threshold=0.3,
+)
+# Forms are attested, but the window is longer than every sentence: a
+# row per form and no columns.
+@example(
+    case=([construct("a", "b"), construct("b", "a")], corpus_of(["a", "b"]), [0, 1],
+          WeightedLexicon.from_lemmas(["a", "b"]), 2),
+    window=5, threshold=0.0,
+)
 def test_grouping_matches_dense_oracle(case, window, threshold):
     trees, corpus, tags, lexicon, states = case
     assert_matches_oracle(
@@ -322,9 +353,10 @@ def test_grouping_matches_dense_oracle(case, window, threshold):
 def test_windowed_tokens_counts_the_positions_context_counts_uses():
     corpus = corpus_of(["a"], ["a", "b", "c"], ["a", "b", "c", "d", "e"])
     tags = [0] * len(corpus)
+    every_type = np.arange(len(corpus.types))
     for window in (1, 3, 5, 7):
-        _, counts = context_counts(corpus, tags, window // 2)
-        assert windowed_tokens(corpus, window) == counts.sum()
+        table = context_counts(corpus, tags, window // 2, every_type)
+        assert table.sum() == windowed_tokens(corpus, window)
     assert [windowed_tokens(corpus, w) for w in (1, 3, 5, 7)] == [9, 4, 1, 0]
     with pytest.raises(ValueError, match="odd"):
         windowed_tokens(corpus, 2)

@@ -172,6 +172,45 @@ def test_load_rejects_bad_array_shapes(mini_corpus, tmp_path, name, reshape):
         load_model(str(path))
 
 
+def _without_start(path):
+    data = dict(np.load(str(path), allow_pickle=False))
+    del data["start"]
+    with open(path, "wb") as handle:
+        np.savez(handle, **data)
+
+
+def _empty_version(path):
+    data = dict(np.load(str(path), allow_pickle=False))
+    data["version"] = data["version"][:0]
+    with open(path, "wb") as handle:
+        np.savez(handle, **data)
+
+
+def _plain_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.zeros(3))
+
+
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+@pytest.mark.parametrize("spoil", [
+    _without_start,
+    _empty_version,
+    _plain_npy,
+    lambda path: path.write_bytes(b""),
+    _truncated,
+], ids=["missing-array", "empty-version", "plain-npy", "empty-file", "truncated"])
+def test_load_rejects_files_that_are_not_saved_models(mini_corpus, tmp_path, spoil):
+    model = train_hmm(mini_corpus, states=2, iterations=2, seed=0)
+    path = tmp_path / "model.npz"
+    save_model(model, str(path))
+    spoil(path)
+    with pytest.raises(ValueError, match=r"model\.npz: not a saved model"):
+        load_model(str(path))
+
+
 def test_write_tagged_format(tmp_path):
     corpus = corpus_from_text(tmp_path, "a b\nc\n")
     out = tmp_path / "tags.tsv"
