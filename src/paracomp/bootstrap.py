@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .discovery import TreeCensus, find_candidates, retain_frequent_trees
+from .discovery import GramIndex, TreeCensus, find_candidates, retain_frequent_trees
 from .edit_tree import EditTree, apply, inverse, last_literal
 from .lexicon import WeightedLexicon
 
@@ -21,47 +22,72 @@ def min_discovery_evidence(tree_count: int, evidence_factor: float) -> float:
     return max(3.0, evidence_factor * tree_count)
 
 
-def discover_new_lemmas(
-    vocab,
-    trees: list[EditTree],
-    lexicon: WeightedLexicon,
-    evidence_factor: float,
-) -> list[str]:
-    """Corpus words, sorted, that enough trees map into the vocabulary.
+def _sources(vocab, trees) -> dict[EditTree, list[str]]:
+    """For each distinct tree, the attested words it maps onto attested words.
 
-    A tree contributes one hit when it applies to the word and its
-    output is itself an attested word; trees that do not fit contribute
-    nothing.  The hits are counted from the output side: a tree's
-    output ends in its rightmost target literal, so each attested word
-    ``v`` is tried only against the trees whose literal ends ``v``, and
-    the single word such a tree could map onto ``v`` is the inverse
-    tree's output.  A duplicate tree in ``trees`` counts twice.
+    The words are found from the output side: a tree's output ends in
+    its rightmost target literal, so each attested word ``v`` is tried
+    only against the trees whose literal ends ``v``, and the single word
+    such a tree could map onto ``v`` is the inverse tree's output.
 
     A tree that applies to any word equals the inverse of its inverse,
     and so maps every output of its inverse back onto that output's
     input: the word found from ``v`` is one the tree maps onto ``v``.
     A tree with ``inverse(inverse(t)) != t`` applies to nothing and
-    contributes no hit, though it still counts towards the cutoff.
+    gets no words.
     """
-    if not trees:
-        raise ValueError("cannot discover lemmas without retained trees")
-    cutoff = min_discovery_evidence(len(trees), evidence_factor)
-    buckets: dict[str, list[EditTree]] = {}
-    for tree in trees:
+    found: dict[EditTree, list[str]] = {tree: [] for tree in trees}
+    buckets: dict[str, list[tuple[EditTree, EditTree]]] = {}
+    for tree in found:
         back = inverse(tree)
         if inverse(back) == tree:
-            buckets.setdefault(last_literal(tree), []).append(back)
+            buckets.setdefault(last_literal(tree), []).append((tree, back))
     lengths = sorted({len(literal) for literal in buckets})
-    hits: Counter = Counter()
     for out in vocab.types:
         for k in lengths:
             if k > len(out):
                 break
-            for back in buckets.get(out[len(out) - k:], ()):
+            for tree, back in buckets.get(out[len(out) - k:], ()):
                 word = apply(back, out)
-                if word is not None and word in vocab and word not in lexicon:
-                    hits[word] += 1
-    return sorted(word for word, count in hits.items() if count > cutoff)
+                if word is not None and word in vocab:
+                    found[tree].append(word)
+    return found
+
+
+def discover_new_lemmas(
+    vocab,
+    trees: list[EditTree],
+    lexicon: WeightedLexicon,
+    evidence_factor: float,
+    sources: dict[EditTree, list[str]] | None = None,
+) -> list[str]:
+    """Corpus words, sorted, that enough trees map into the vocabulary.
+
+    A tree contributes one hit when it applies to the word and its
+    output is itself an attested word; trees that do not fit contribute
+    nothing, though they still count towards the cutoff.  A duplicate
+    tree in ``trees`` counts twice, and words in ``lexicon`` get none.
+
+    ``sources`` carries each tree's attested words (``_sources``) from
+    call to call over one ``vocab``: only the trees it lacks are
+    searched, and their words are added to it.  The lexicon filter and
+    the cutoff apply when the hits are counted, so a bootstrap round
+    whose trees were all retained before searches nothing and finds
+    what a fresh search would.
+    """
+    if not trees:
+        raise ValueError("cannot discover lemmas without retained trees")
+    cutoff = min_discovery_evidence(len(trees), evidence_factor)
+    if sources is None:
+        sources = {}
+    unseen = [tree for tree in trees if tree not in sources]
+    if unseen:
+        sources.update(_sources(vocab, unseen))
+    hits = Counter(chain.from_iterable(sources[tree] for tree in trees))
+    return sorted(
+        word for word, count in hits.items()
+        if count > cutoff and word not in lexicon
+    )
 
 
 @dataclass
@@ -83,23 +109,31 @@ def bootstrap(
 ) -> BootstrapResult:
     """Candidate search plus ``rounds`` rounds of lemma retrieval.
 
-    ``rounds=0`` runs the plain discovery stage.  New lemmas are appended
-    to the lexicon at iteration max+1, and a word's candidates do not
-    depend on the other lemmas, so each round searches candidates for
-    the new lemmas only, adds only their pairs to the tree census it
-    carries, and re-applies the support cutoff for the grown lexicon.
+    ``rounds=0`` runs the plain discovery stage.  The vocabulary does
+    not change between rounds, so each round carries three things to
+    the next: the candidate search's k-gram indexes, each built once;
+    every retained tree's attested words, so that retrieval searches
+    only the trees no earlier round retained; and the tree census.  New
+    lemmas are appended to the lexicon at iteration max+1, and a word's
+    candidates do not depend on the other lemmas, so each round searches
+    candidates for the new lemmas only, adds only their pairs to the
+    census, and re-applies the support cutoff for the grown lexicon.
     The census sums every tree's support in lexicon order, as a search
     over the whole grown lexicon would, so running one round and then
     feeding the result back in equals running two rounds at once.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    candidates = find_candidates(lexicon, vocab, candidate_ratio)
+    grams = GramIndex(vocab)
+    sources: dict[EditTree, list[str]] = {}
+    candidates = find_candidates(lexicon, vocab, candidate_ratio, grams=grams)
     trees, census = retain_frequent_trees(candidates, lexicon, tree_support_factor)
     for _ in range(rounds):
         if not trees:
             break
-        new = discover_new_lemmas(vocab, trees, lexicon, lemma_evidence_factor)
+        new = discover_new_lemmas(
+            vocab, trees, lexicon, lemma_evidence_factor, sources
+        )
         if not new:
             break
         counted = len(lexicon)
@@ -107,7 +141,10 @@ def bootstrap(
             new, lexicon.max_iteration() + 1, lemma_decay
         )
         fresh = find_candidates(
-            WeightedLexicon(lexicon.entries[counted:]), vocab, candidate_ratio
+            WeightedLexicon(lexicon.entries[counted:]),
+            vocab,
+            candidate_ratio,
+            grams=grams,
         )
         trees, census = retain_frequent_trees(
             fresh, lexicon, tree_support_factor, census

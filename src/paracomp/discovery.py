@@ -32,11 +32,30 @@ def _gram_index(words: list[str], k: int) -> dict[str, list[int]]:
     return index
 
 
+class GramIndex:
+    """A vocabulary's words, sorted, and their k-gram indexes by k.
+
+    Each k's index is built on first use and kept, so candidate searches
+    that share one ``GramIndex`` build it once.
+    """
+
+    def __init__(self, vocab):
+        self.words: list[str] = sorted(vocab.types)
+        self._by_k: dict[int, dict[str, list[int]]] = {}
+
+    def for_k(self, k: int) -> dict[str, list[int]]:
+        """Each k-gram -> the ascending indices of the words containing it."""
+        if k not in self._by_k:
+            self._by_k[k] = _gram_index(self.words, k)
+        return self._by_k[k]
+
+
 def find_candidates(
     lexicon: WeightedLexicon,
     vocab,
     ratio_threshold: float,
     workers: int = 1,
+    grams: GramIndex | None = None,
 ) -> dict[str, list[str]]:
     """Candidate forms per lemma, each list sorted, lemmas in lexicon order.
 
@@ -45,6 +64,9 @@ def find_candidates(
     lcs >= k with k = floor(need) + 1, which holds iff the word contains
     one of the lemma's k-grams (Ukkonen 1992).  The search is therefore
     an exact lookup in a gram -> words index, built once per distinct k.
+    ``grams``, when given, must index ``vocab``; the indexes this call
+    builds are added to it, so a later call with it (a later bootstrap
+    round) only builds the k it has not seen.
     """
     # workers is ignored: the benchmark's traced run still reads it.
     if not 0.0 <= ratio_threshold < 1.0:
@@ -55,8 +77,9 @@ def find_candidates(
     for lemma in lemmas:
         if not lemma:
             raise ValueError("cannot search candidates for an empty lemma")
-    words = sorted(vocab.types)
-    indexes: dict[int, dict[str, list[int]]] = {}
+    if grams is None:
+        grams = GramIndex(vocab)
+    words = grams.words
     result: dict[str, list[str]] = {}
     for lemma in lemmas:
         need = ratio_threshold * len(lemma)
@@ -64,9 +87,7 @@ def find_candidates(
         if k > len(lemma):
             result[lemma] = []
             continue
-        if k not in indexes:
-            indexes[k] = _gram_index(words, k)
-        index = indexes[k]
+        index = grams.for_k(k)
         hits: set[int] = set()
         for j in range(len(lemma) - k + 1):
             hits.update(index.get(lemma[j:j + k], ()))

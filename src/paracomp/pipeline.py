@@ -35,7 +35,12 @@ from .edit_tree import EditTree, apply
 from .evaluation import BmaccResult, best_match_accuracy, lemma_baseline
 from .inflection import RuleTable, SlotRules, extract_affix_rules, inflect
 from .lexicon import WeightedLexicon
-from .slot_clustering import MergeEvent, SlotState, group_surface_changes, windowed_tokens
+from .slot_clustering import (
+    MergeEvent,
+    SlotState,
+    group_surface_changes,
+    windowed_positions,
+)
 from .tagger import HmmModel, tag_corpus, train_hmm
 
 _TREE_MODES = ("pcs-i", "pcs-ii-a", "pcs-ii-b")
@@ -189,9 +194,8 @@ def run_pipeline(
                 )
                 result.tags = tag_corpus(result.model, corpus)
             with _stage("cluster", timings):
-                result.windowed_tokens = windowed_tokens(
-                    corpus, config.context_window
-                )
+                positions = windowed_positions(corpus, config.context_window)
+                result.windowed_tokens = len(positions)
                 result.slots, result.merge_log = group_surface_changes(
                     boot.trees,
                     corpus,
@@ -199,6 +203,7 @@ def run_pipeline(
                     boot.lexicon,
                     merge_threshold=config.merge_threshold,
                     window=config.context_window,
+                    positions=positions,
                 )
             with _stage("generate", timings):
                 result.rules = _rules(

@@ -54,28 +54,42 @@ def _windowed(corpus: Corpus, radius: int) -> np.ndarray:
 
 
 def context_counts(
-    corpus: Corpus, tags: list[int], radius: int, type_ids: np.ndarray
+    corpus: Corpus,
+    tags: list[int],
+    radius: int,
+    type_ids: np.ndarray,
+    positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """The ``type_ids`` x tag-window count table, for ascending type ids.
 
     Row r counts the windows around ``type_ids[r]``, one column per
     distinct window around any of them, in sorted order.  Only windows
-    that fit inside one sentence count.
+    that fit inside one sentence count: ``positions``, when given, must
+    be ``windowed_positions`` of this corpus and radius.
     """
-    positions = _windowed(corpus, radius)
+    if positions is None:
+        positions = _windowed(corpus, radius)
     positions = positions[np.isin(corpus.ids[positions], type_ids)]
     row = np.searchsorted(type_ids, corpus.ids[positions])
     tags = np.asarray(tags, dtype=np.intp)
     around = positions[:, None] + np.arange(-radius, radius + 1)
-    windows, column = np.unique(tags[around], axis=0, return_inverse=True)
-    columns = windows.shape[0]
+    # A window's column is its rank among the distinct windows.  It is
+    # built one tag column at a time: the rank of the windows' first c
+    # tags, times the distinct values of tag c, plus tag c's own rank,
+    # ranks their first c + 1 tags in sorted order.  Ranks stay below
+    # the row count, so the key never overflows.
+    column = np.zeros(len(positions), dtype=np.intp)
+    for values in tags[around].T:
+        levels, rank = np.unique(values, return_inverse=True)
+        keys, column = np.unique(column * len(levels) + rank, return_inverse=True)
+    columns = len(keys)
     counts = np.bincount(row * columns + column, minlength=len(type_ids) * columns)
     return counts.reshape(len(type_ids), columns).astype(np.float64)
 
 
-def windowed_tokens(corpus: Corpus, window: int) -> int:
-    """Tokens whose full window of ``window`` tags fits inside one sentence."""
-    return _windowed(corpus, _check_window(window)).shape[0]
+def windowed_positions(corpus: Corpus, window: int) -> np.ndarray:
+    """Positions whose full window of ``window`` tags fits inside one sentence."""
+    return _windowed(corpus, _check_window(window))
 
 
 def _form_weights(
@@ -109,6 +123,7 @@ def group_surface_changes(
     lexicon: WeightedLexicon,
     merge_threshold: float = 0.3,
     window: int = 3,
+    positions: np.ndarray | None = None,
 ) -> tuple[list[SlotState], list[MergeEvent]]:
     """Greedy slot merging.
 
@@ -117,7 +132,9 @@ def group_surface_changes(
     of lemma-disjoint slots while that cosine is strictly above the
     threshold.  Ties take the lowest id pair.  The kept slot inherits
     the smaller id and its vector is recomputed from the merged form
-    set, in sorted form order, not added together.
+    set, in sorted form order, not added together.  ``positions``, when
+    given, must be ``windowed_positions(corpus, window)``; a caller that
+    already has them saves finding them again.
     """
     radius = _check_window(window)
     if not 0.0 <= merge_threshold <= 1.0:
@@ -141,7 +158,7 @@ def group_surface_changes(
     forms = {form for slot in slots for form in slot.lemma_forms.values()}
     form_row = {form: r for r, form in enumerate(sorted(forms, key=corpus.vocab.get))}
     form_ids = np.array([corpus.vocab[form] for form in form_row], dtype=np.intp)
-    table = context_counts(corpus, tags, radius, form_ids)
+    table = context_counts(corpus, tags, radius, form_ids, positions)
 
     def row(lemma_forms: dict[str, str]) -> np.ndarray:
         vec = np.zeros(table.shape[1])

@@ -325,17 +325,20 @@ def load_model(path: str) -> HmmModel:
     try:
         with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
             version = int(data["version"][0])
-            if version != _SAVE_VERSION:
-                raise ValueError(f"{path}: unsupported model version {version}")
-            model = HmmModel(
-                start=data["start"],
-                transitions=data["transitions"],
-                emissions=data["emissions"],
-                symbols=[str(s) for s in data["symbols"]],
-                log_likelihoods=[float(v) for v in data["log_likelihoods"]],
-            )
-    except (EOFError, IndexError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+            if version == _SAVE_VERSION:
+                model = HmmModel(
+                    start=data["start"],
+                    transitions=data["transitions"],
+                    emissions=data["emissions"],
+                    symbols=[str(s) for s in data["symbols"]],
+                    log_likelihoods=[float(v) for v in data["log_likelihoods"]],
+                )
+    except (
+        EOFError, IndexError, KeyError, TypeError, ValueError, zipfile.BadZipFile
+    ) as exc:
         raise ValueError(f"{path}: not a saved model: {exc}") from exc
+    if version != _SAVE_VERSION:
+        raise ValueError(f"{path}: unsupported model version {version}")
     states = model.start.shape[0] if model.start.ndim == 1 else 0
     got = (model.start.shape, model.transitions.shape, model.emissions.shape)
     need = ((states,), (states, states), (states, len(model.symbols) + 1))

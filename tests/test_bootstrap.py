@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,9 +191,12 @@ def retrieval_cases(draw):
 @given(retrieval_cases())
 def test_discover_matches_oracle(case):
     vocab, trees, lexicon, factor = case
-    assert discover_new_lemmas(vocab, trees, lexicon, factor) == (
-        bootstrap_oracle.discover_new_lemmas(vocab, trees, lexicon, factor)
-    )
+    want = bootstrap_oracle.discover_new_lemmas(vocab, trees, lexicon, factor)
+    assert discover_new_lemmas(vocab, trees, lexicon, factor) == want
+    # Carried from an earlier call with some of the trees and no lexicon.
+    sources = {}
+    discover_new_lemmas(vocab, trees[::2], WeightedLexicon([]), factor, sources)
+    assert discover_new_lemmas(vocab, trees, lexicon, factor, sources) == want
 
 
 def test_duplicate_trees_count_twice():
@@ -202,6 +207,41 @@ def test_duplicate_trees_count_twice():
     trees = [APPEND_ED, APPEND_ED, APPEND_S]
     assert discover_new_lemmas(vocab, trees, lexicon, 0.0) == []
     assert discover_new_lemmas(vocab, trees + [APPEND_ED], lexicon, 0.0) == ["talk"]
+    # The same when the trees' words were found by an earlier call.
+    sources = {}
+    assert discover_new_lemmas(vocab, [APPEND_ED], lexicon, 0.0, sources) == []
+    assert discover_new_lemmas(vocab, trees, lexicon, 0.0, sources) == []
+    assert discover_new_lemmas(
+        vocab, trees + [APPEND_ED], lexicon, 0.0, sources
+    ) == ["talk"]
+
+
+def counting(monkeypatch, module_name, name):
+    """Replace a module's ``name`` with a wrapper; returns its calls' args."""
+    module = importlib.import_module(module_name)
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_retrieval_of_seen_trees_applies_nothing(monkeypatch):
+    vocab = vocab_of(*BOOT_WORDS)
+    sources = {}
+    walk = WeightedLexicon.from_lemmas(["walk"])
+    assert discover_new_lemmas(vocab, FOUR_TREES, walk, 0.2, sources) == [
+        "talk", "work"
+    ]
+    grown = walk.add_discovered(["talk"], iteration=1, decay=0.5)
+    fresh = discover_new_lemmas(vocab, FOUR_TREES, grown, 0.2)
+    applied = counting(monkeypatch, "paracomp.bootstrap", "apply")
+    assert discover_new_lemmas(vocab, FOUR_TREES, grown, 0.2, sources) == fresh
+    assert fresh == ["work"] and applied == []
 
 
 def matches_oracle(vocab, lexicon, rounds, settings_):
@@ -248,6 +288,18 @@ def _chain_words():
               for suffix in ("", "ed", "s", "ing", "xy")]
     words += ["wyno" + suffix for suffix in ("", "ed", "s", "xy")]
     return words
+
+
+def test_bootstrap_builds_each_gram_index_once(monkeypatch):
+    # Three candidate searches (seeds, round 1's and round 2's lemmas),
+    # every lemma 4 characters long: one index, for k = 3.
+    built = counting(monkeypatch, "paracomp.discovery", "_gram_index")
+    lexicon = WeightedLexicon.from_lemmas(["bimo", "kadu", "pefo", "ruzi"])
+    result = bootstrap(vocab_of(*_chain_words()), lexicon, candidate_ratio=0.5,
+                       tree_support_factor=0.05, lemma_evidence_factor=0.2,
+                       lemma_decay=0.5, rounds=3)
+    assert result.lexicon.max_iteration() == 2
+    assert [k for _, k in built] == [3]
 
 
 @pytest.mark.parametrize("decay", [0.5, 0.7])

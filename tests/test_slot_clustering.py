@@ -13,7 +13,7 @@ from paracomp.slot_clustering import (
     MergeEvent,
     context_counts,
     group_surface_changes,
-    windowed_tokens,
+    windowed_positions,
 )
 
 APPEND_ED = Match(0, 0, Replace("", ""), Replace("", "ed"))
@@ -350,13 +350,17 @@ def test_grouping_matches_dense_oracle(case, window, threshold):
     )
 
 
-def test_windowed_tokens_counts_the_positions_context_counts_uses():
+def test_windowed_positions_are_the_ones_context_counts_uses():
     corpus = corpus_of(["a"], ["a", "b", "c"], ["a", "b", "c", "d", "e"])
-    tags = [0] * len(corpus)
+    tags = list(range(len(corpus)))
     every_type = np.arange(len(corpus.types))
     for window in (1, 3, 5, 7):
+        positions = windowed_positions(corpus, window)
         table = context_counts(corpus, tags, window // 2, every_type)
-        assert table.sum() == windowed_tokens(corpus, window)
-    assert [windowed_tokens(corpus, w) for w in (1, 3, 5, 7)] == [9, 4, 1, 0]
+        assert table.sum() == len(positions)
+        given = context_counts(corpus, tags, window // 2, every_type, positions)
+        assert np.array_equal(given, table)
+    assert windowed_positions(corpus, 3).tolist() == [2, 5, 6, 7]
+    assert [len(windowed_positions(corpus, w)) for w in (1, 3, 5, 7)] == [9, 4, 1, 0]
     with pytest.raises(ValueError, match="odd"):
-        windowed_tokens(corpus, 2)
+        windowed_positions(corpus, 2)

@@ -186,6 +186,13 @@ def _empty_version(path):
         np.savez(handle, **data)
 
 
+def _text_version(path):
+    data = dict(np.load(str(path), allow_pickle=False))
+    data["version"] = np.array(["one"])
+    with open(path, "wb") as handle:
+        np.savez(handle, **data)
+
+
 def _plain_npy(path):
     with open(path, "wb") as handle:
         np.save(handle, np.zeros(3))
@@ -198,10 +205,13 @@ def _truncated(path):
 @pytest.mark.parametrize("spoil", [
     _without_start,
     _empty_version,
+    _text_version,
     _plain_npy,
     lambda path: path.write_bytes(b""),
+    lambda path: path.write_text("hello"),
     _truncated,
-], ids=["missing-array", "empty-version", "plain-npy", "empty-file", "truncated"])
+], ids=["missing-array", "empty-version", "text-version", "plain-npy",
+        "empty-file", "text-file", "truncated"])
 def test_load_rejects_files_that_are_not_saved_models(mini_corpus, tmp_path, spoil):
     model = train_hmm(mini_corpus, states=2, iterations=2, seed=0)
     path = tmp_path / "model.npz"
