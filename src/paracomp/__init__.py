@@ -64,6 +64,7 @@ from .slot_clustering import (
 from .synth import SyntheticLanguage, generate_language
 from .tagger import (
     HmmModel,
+    anchor_start,
     load_model,
     save_model,
     tag_corpus,

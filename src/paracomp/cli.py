@@ -14,9 +14,9 @@ import sys
 from .config import MODES, Config, build_config, parse_config_file
 from .corpus_io import load_corpus
 from .inflection import dump_rules
-from .pipeline import StageError, run_pipeline
+from .pipeline import StageError, run_pipeline, train_tagger
 from .synth import generate_language
-from .tagger import load_model, save_model, tag_corpus, train_hmm, write_tagged
+from .tagger import load_model, save_model, tag_corpus, write_tagged
 
 # Every Config field except mode is a flag; field types are strings
 # because config.py postpones annotations.
@@ -89,14 +89,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     if args.model_in:
         model = load_model(args.model_in)
     else:
-        config = _config_from_args(args)
-        model = train_hmm(
-            corpus,
-            states=config.hmm_states,
-            iterations=config.hmm_iterations,
-            seed=config.seed,
-            unk_threshold=config.unk_threshold,
-        )
+        model = train_tagger(corpus, _config_from_args(args))
     if args.model_out:
         save_model(model, args.model_out)
     tags = tag_corpus(model, corpus)

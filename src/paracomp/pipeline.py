@@ -25,6 +25,7 @@ from time import perf_counter
 from .bootstrap import BootstrapResult, bootstrap
 from .config import Config
 from .corpus_io import (
+    Corpus,
     load_corpus,
     load_gold,
     load_lexicon,
@@ -41,7 +42,7 @@ from .slot_clustering import (
     group_surface_changes,
     windowed_positions,
 )
-from .tagger import HmmModel, tag_corpus, train_hmm
+from .tagger import HmmModel, anchor_start, tag_corpus, train_hmm
 
 _TREE_MODES = ("pcs-i", "pcs-ii-a", "pcs-ii-b")
 _FULL_MODES = ("pcs-iii", "pcs-ii+iii")
@@ -185,13 +186,7 @@ def run_pipeline(
                 result.slot_count = len(boot.trees)
         else:
             with _stage("tag", timings):
-                result.model = train_hmm(
-                    corpus,
-                    states=config.hmm_states,
-                    iterations=config.hmm_iterations,
-                    seed=config.seed,
-                    unk_threshold=config.unk_threshold,
-                )
+                result.model = train_tagger(corpus, config)
                 result.tags = tag_corpus(result.model, corpus)
             with _stage("cluster", timings):
                 positions = windowed_positions(corpus, config.context_window)
@@ -229,6 +224,22 @@ def run_pipeline(
 
     result.report = build_report(result, config)
     return result
+
+
+def train_tagger(corpus: Corpus, config: Config) -> HmmModel:
+    """The tagger as the pipeline trains it: Baum-Welch from the anchor start.
+
+    A corpus with too few anchors starts from ``config.seed``'s Dirichlet
+    draws instead.
+    """
+    return train_hmm(
+        corpus,
+        states=config.hmm_states,
+        iterations=config.hmm_iterations,
+        seed=config.seed,
+        unk_threshold=config.unk_threshold,
+        init=anchor_start(corpus, config.hmm_states, config.unk_threshold),
+    )
 
 
 def _trees_to_predictions(
@@ -294,6 +305,12 @@ def build_report(result: PipelineResult, config: Config) -> str:
                 f"warning: no sentence holds a full {config.context_window}-tag "
                 "window, so slots cannot be told apart by context"
             )
+    if result.model is not None:
+        lls = result.model.log_likelihoods
+        line = f"EM passes: {len(lls)} of at most {config.hmm_iterations}"
+        if lls:
+            line += f", final log-likelihood {lls[-1]:.4f}"
+        lines.append(line)
     if result.merge_log:
         merges = " | ".join(
             f"{event.kept}+{event.absorbed} score={event.score:.4f}"

@@ -26,8 +26,11 @@ library's order: trained parameters, and the saved models, depend in
 their last digits on that library as well as on ``BATCH_TOKENS``.
 
 Rare word types are collapsed into a single UNK symbol before
-training.  All randomness comes from one seeded generator, so training
-is reproducible.
+training.  EM starts from the parameters it is given, such as the
+deterministic ``anchor_start``, or else from Dirichlet draws of one
+seeded generator, so training is reproducible.  It stops once the
+log-likelihood is flat to ``EM_TOLERANCE``; from the anchor start that
+takes a few passes on the synthetic languages.
 """
 
 from __future__ import annotations
@@ -46,6 +49,19 @@ _SAVE_VERSION = 1
 # corpus size.
 BATCH_TOKENS = 2048
 
+# Baum-Welch stops at the first pass whose log-likelihood moved by at
+# most this fraction of the previous pass's, or by at most this many nats
+# per token if that is more: where the model predicts every token with
+# certainty, the log-likelihood is 0 plus rounding noise, which a
+# relative test alone cannot tell from a change.
+EM_TOLERANCE = 1e-9
+
+# The anchor start describes a symbol by its neighbours among this many
+# most frequent symbols, and takes its anchors among the symbols seen at
+# least this often (and at least the median count).
+_ANCHOR_CONTEXTS = 64
+_ANCHOR_MIN_COUNT = 5
+
 
 @dataclass
 class HmmModel:
@@ -58,6 +74,19 @@ class HmmModel:
     @property
     def states(self) -> int:
         return int(self.start.shape[0])
+
+
+def _symbols(corpus: Corpus, unk_threshold: int) -> list[str]:
+    """The emission symbols: the types seen at least ``unk_threshold`` times, sorted."""
+    counts = np.bincount(corpus.ids).tolist()
+    return sorted(t for t, c in zip(corpus.types, counts) if c >= unk_threshold)
+
+
+def _codes(corpus: Corpus, symbols: list[str]) -> np.ndarray:
+    """Each token's index into ``symbols``; ``len(symbols)``, UNK, if absent."""
+    index = {symbol: i for i, symbol in enumerate(symbols)}
+    unk = len(symbols)
+    return np.array([index.get(t, unk) for t in corpus.types], dtype=np.intp)[corpus.ids]
 
 
 def _batches(
@@ -78,9 +107,7 @@ def _batches(
     order.  ``counts`` is therefore non-increasing, and its length is
     the band's longest sentence.
     """
-    index = {symbol: i for i, symbol in enumerate(symbols)}
-    unk = len(symbols)
-    codes = np.array([index.get(t, unk) for t in corpus.types], dtype=np.intp)[corpus.ids]
+    codes = _codes(corpus, symbols)
     ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
     lengths = np.diff(ends, prepend=0)
     starts = ends - lengths
@@ -121,21 +148,98 @@ def _steps(counts: list[int]) -> list[tuple[int, int, int, int]]:
     return bounds
 
 
+def anchor_start(
+    corpus: Corpus, states: int = 8, unk_threshold: int = 2
+) -> HmmModel | None:
+    """A deterministic start for ``train_hmm``, or None with too few anchors.
+
+    An anchor is a symbol that one state alone emits (Arora et al.,
+    ICML 2013; Stratos, Collins and Hsu, TACL 2016).  Each symbol is
+    described by its previous-symbol and next-symbol counts over its own
+    count, the contexts being the most frequent symbols, all other
+    symbols and the sentence boundary.  Among the frequent symbols, the
+    anchors are picked greedily, each the row farthest from the affine
+    span of those already picked.  Every row is then fit by least squares
+    as a combination of the anchor rows; the coefficients, clipped at 0
+    and normalised, estimate P(state | symbol), so state k emits symbol w
+    in proportion to coefficient k times count(w).  Start and transitions
+    are uniform.  The symbols are ``train_hmm``'s for ``unk_threshold``.
+    """
+    symbols = _symbols(corpus, unk_threshold)
+    width = len(symbols) + 1
+    codes = _codes(corpus, symbols)
+    counts = np.bincount(codes, minlength=width)
+    candidates = np.flatnonzero(counts >= max(_ANCHOR_MIN_COUNT, np.median(counts)))
+    if candidates.shape[0] < states:
+        return None
+
+    top = np.argsort(-counts, kind="stable")[:_ANCHOR_CONTEXTS]
+    column = np.full(width, top.shape[0])  # every other symbol shares one column
+    column[top] = np.arange(top.shape[0])
+    boundary = top.shape[0] + 1
+    contexts = boundary + 1
+    ends = np.array(corpus.sentence_boundaries[:-1], dtype=np.intp)
+    context = column[codes]
+    before = np.concatenate([[boundary], context[:-1]])
+    before[ends] = boundary
+    after = np.concatenate([context[1:], [boundary]])
+    after[ends - 1] = boundary
+    cells = np.concatenate([before, after + contexts])
+    cells += np.tile(codes * (2 * contexts), 2)
+    rows = np.bincount(cells, minlength=width * 2 * contexts).reshape(width, -1)
+
+    points = rows[candidates] / counts[candidates, None]
+    picked = [int(np.argmax(np.einsum("ij,ij->i", points, points)))]
+    residual = points - points[picked[0]]
+    shift = np.empty_like(residual)
+    for _ in range(states - 1):
+        norms = np.einsum("ij,ij->i", residual, residual)
+        best = int(np.argmax(norms))
+        if norms[best] <= 1e-12:  # every row is in the span, up to rounding
+            return None
+        direction = residual[best] / np.sqrt(norms[best])
+        residual -= np.outer(residual @ direction, direction, out=shift)
+        picked.append(best)
+
+    # The normal equations of every row at once.  The rows are fit as
+    # counts, which scales each row's coefficients by its count until
+    # they are normalised.  A K x K solve and einsum keep to one thread,
+    # where lstsq, an SVD or a large matmul would start BLAS threads.
+    anchors = points[picked]
+    solved = np.linalg.solve(anchors @ anchors.T, anchors)
+    weights = np.einsum("kd,wd->kw", solved, rows)  # (K, W+1)
+    np.maximum(weights, 0.0, out=weights)
+    total = weights.sum(axis=0)
+    weights = np.where(total > 0, weights / np.where(total > 0, total, 1.0), 1.0 / states)
+    emissions = weights * counts
+    emissions /= emissions.sum(axis=1, keepdims=True)
+    uniform = np.full(states, 1.0 / states)
+    return HmmModel(uniform, np.tile(uniform, (states, 1)), emissions, symbols)
+
+
 def train_hmm(
     corpus: Corpus,
     states: int = 8,
     iterations: int = 20,
     seed: int = 0,
     unk_threshold: int = 2,
+    init: HmmModel | None = None,
 ) -> HmmModel:
-    """Fit an HMM to the corpus with Baum-Welch.
+    """Fit an HMM to the corpus with Baum-Welch, from ``init`` if given.
 
-    The recorded log-likelihood list holds one entry per iteration,
-    each evaluating the parameters *before* that iteration's update, so
-    the sequence is non-decreasing up to rounding: once the curve is
-    flat, consecutive entries can differ by an ulp either way.  No
-    smoothing is applied in the M-step: probabilities the data does not
-    support go to exactly zero.
+    Without ``init``, EM starts from Dirichlet draws of a generator
+    seeded with ``seed``; ``init`` must have ``states`` states and the
+    symbols that ``unk_threshold`` keeps, as ``anchor_start`` builds it.
+    EM runs at most ``iterations`` passes, and stops at the first pass
+    whose log-likelihood moved by at most ``EM_TOLERANCE`` times the one
+    before (or times the token count, if larger), returning the
+    parameters that pass evaluated.
+
+    The recorded log-likelihood list holds one entry per pass, each
+    evaluating the parameters *before* that pass's update, so the
+    sequence is non-decreasing up to rounding.  No smoothing is applied
+    in the M-step: probabilities the data does not support go to exactly
+    zero.
     """
     if len(corpus) < 2:
         raise ValueError("corpus too small to train on (need at least 2 tokens)")
@@ -144,8 +248,12 @@ def train_hmm(
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
 
-    counts = np.bincount(corpus.ids).tolist()
-    symbols = sorted(t for t, c in zip(corpus.types, counts) if c >= unk_threshold)
+    symbols = _symbols(corpus, unk_threshold)
+    if init is not None and (init.states != states or init.symbols != symbols):
+        raise ValueError(
+            "initial model does not match: it needs the corpus's symbols "
+            f"and {states} states"
+        )
     width = len(symbols) + 1
     bands = []
     for _, obs, running in _batches(corpus, symbols):
@@ -166,10 +274,13 @@ def train_hmm(
     ones = np.ones((states, 1))  # x @ ones sums the rows of x
     offsets = np.arange(states)
 
-    rng = np.random.default_rng(seed)
-    start = rng.dirichlet(np.ones(states))
-    transitions = np.vstack([rng.dirichlet(np.ones(states)) for _ in range(states)])
-    emissions = np.vstack([rng.dirichlet(np.ones(width)) for _ in range(states)])
+    if init is None:
+        rng = np.random.default_rng(seed)
+        start = rng.dirichlet(np.ones(states))
+        transitions = np.vstack([rng.dirichlet(np.ones(states)) for _ in range(states)])
+        emissions = np.vstack([rng.dirichlet(np.ones(width)) for _ in range(states)])
+    else:
+        start, transitions, emissions = init.start, init.transitions, init.emissions
 
     log_likelihoods: list[float] = []
     for _ in range(iterations):
@@ -220,7 +331,12 @@ def train_hmm(
             emit_acc_t += np.bincount(
                 cells.ravel(), weights=gamma.ravel(), minlength=width * states
             ).reshape(width, states)
+        flat = bool(log_likelihoods) and abs(ll - log_likelihoods[-1]) <= (
+            EM_TOLERANCE * max(abs(log_likelihoods[-1]), len(corpus))
+        )
         log_likelihoods.append(ll)
+        if flat:
+            break
 
         start = start_acc / start_acc.sum()
         trans_rows = trans_acc.sum(axis=1, keepdims=True)
@@ -258,15 +374,19 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     bands = _batches(corpus, model.symbols)
     size = max((obs.shape[0] for _, obs, _ in bands), default=0)
     widest = max((running[0] for _, _, running in bands), default=0)
+    # A block steps in chunks of rows, so the (rows, states, states)
+    # scores stay within BATCH_TOKENS x states floats like the rest.
+    chunk = max(1, BATCH_TOKENS // states)
+    rows = min(widest, chunk)
     emit_buf = np.empty((size, states))
     back_buf = np.empty((size, states), dtype=np.intp)
     path = np.empty(size, dtype=np.intp)
-    scores_buf = np.empty(widest * states * states)
-    scores = scores_buf.reshape(widest, states, states)  # (N, previous, next)
+    scores_buf = np.empty(rows * states * states)
+    scores = scores_buf.reshape(rows, states, states)  # (N, previous, next)
     delta = np.empty((widest, states, 1))
     now = delta[:, :, 0]
     # Flat offset of scores[n, 0, j], for reading each maximum at its argmax.
-    corner = np.arange(widest)[:, None] * states * states + np.arange(states)
+    corner = np.arange(rows)[:, None] * states * states + np.arange(states)
     pick = np.empty_like(corner)
     # Flat offset of back[n, 0] within a block, for the backtrace.
     row_base = np.arange(widest) * states
@@ -283,15 +403,18 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
         # Only the running sentences step, so an ended one keeps the
         # delta of its last step.
         for _, _, lo, hi in steps:
-            n = hi - lo
-            block = scores[:n]
-            np.add(delta[:n], log_trans, out=block)
-            np.argmax(block, axis=1, out=back_buf[lo:hi])  # first maximum: lower state
-            np.multiply(back_buf[lo:hi], states, out=pick[:n])
-            np.add(pick[:n], corner[:n], out=pick[:n])
-            # now[n, j] = scores[n, back[n, j], j]
-            np.take(scores_buf, pick[:n], out=now[:n], mode="clip")
-            np.add(now[:n], emit[lo:hi], out=now[:n])
+            for a in range(0, hi - lo, chunk):
+                b = min(a + chunk, hi - lo)
+                n = b - a
+                block = scores[:n]
+                np.add(delta[a:b], log_trans, out=block)
+                back = back_buf[lo + a : lo + b]
+                np.argmax(block, axis=1, out=back)  # first maximum: lower state
+                np.multiply(back, states, out=pick[:n])
+                np.add(pick[:n], corner[:n], out=pick[:n])
+                # now[n, j] = scores[n, back[n, j], j]
+                np.take(scores_buf, pick[:n], out=now[a:b], mode="clip")
+                np.add(now[a:b], emit[lo + a : lo + b], out=now[a:b])
         np.argmax(now[:first], axis=1, out=state[:first])
         for _, _, lo, hi in reversed(steps):
             n = hi - lo

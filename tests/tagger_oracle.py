@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from paracomp.corpus_io import Corpus
-from paracomp.tagger import HmmModel
+from paracomp.tagger import EM_TOLERANCE, HmmModel
 
 
 def _encode(corpus: Corpus, index: dict[str, int], unk: int) -> list[np.ndarray]:
@@ -98,7 +98,12 @@ def train_hmm(
                 # masked by the transition matrix, is the xi total.
                 weighted = (emit[:, 1:] * beta[1:].T) / scale[1:]
                 trans_acc += (alpha[:-1].T @ weighted.T) * transitions
+        flat = bool(log_likelihoods) and abs(ll - log_likelihoods[-1]) <= (
+            EM_TOLERANCE * max(abs(log_likelihoods[-1]), len(corpus))
+        )
         log_likelihoods.append(ll)
+        if flat:
+            break
 
         start = start_acc / start_acc.sum()
         trans_rows = trans_acc.sum(axis=1, keepdims=True)

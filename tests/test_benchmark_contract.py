@@ -43,3 +43,11 @@ def test_traced_clustering_run_reports_every_declared_metric():
     # sparse-seed never tags or clusters, so only a sentence workload
     # re-runs the tagger and group_surface_changes kernels.
     _check_traced_run("short-sentences")
+
+
+def test_benchmark_self_test_passes():
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

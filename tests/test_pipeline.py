@@ -292,6 +292,23 @@ class TestFullModes:
             "warning: no sentence holds a full 5-tag window" in runs[5].report
         )
 
+    def test_report_counts_em_passes(self, lang_paths):
+        result = run_pipeline(
+            Config(mode="pcs-ii+iii", hmm_states=4, hmm_iterations=30),
+            corpus_path=lang_paths["corpus"],
+            lexicon_path=lang_paths["lemmas"],
+        )
+        ll = result.model.log_likelihoods
+        assert 0 < len(ll) < 30  # EM stopped before the cap
+        line = f"EM passes: {len(ll)} of at most 30, final log-likelihood {ll[-1]:.4f}\n"
+        assert line in result.report
+        unfitted = run_pipeline(
+            Config(mode="pcs-iii", hmm_iterations=0),
+            corpus_path=lang_paths["corpus"],
+            lexicon_path=lang_paths["lemmas"],
+        )
+        assert "EM passes: 0 of at most 0\n" in unfitted.report
+
     def test_tree_modes_report_no_windows(self, lang_paths):
         result = run_pipeline(
             Config(mode="pcs-i"),
@@ -300,6 +317,7 @@ class TestFullModes:
         )
         assert result.windowed_tokens is None
         assert "windowed tokens" not in result.report
+        assert "EM passes" not in result.report
 
     def test_clustering_mode_equals_zero_round_full_mode(
         self, lang_paths, tmp_path
@@ -608,6 +626,21 @@ class TestCli:
         ) == 0
         assert filecmp.cmp(str(first), str(second), shallow=False)
         assert "tagged" in capsys.readouterr().out
+
+    def test_tag_command_trains_the_pipeline_tagger(self, lang_paths, tmp_path):
+        out = tmp_path / "tags.tsv"
+        flags = ["--hmm-states", "4", "--seed", "2"]
+        assert main(
+            ["tag", "--corpus", lang_paths["corpus"], "--out", str(out), *flags]
+        ) == 0
+        result = run_pipeline(
+            Config(mode="pcs-iii", hmm_states=4, seed=2),
+            corpus_path=lang_paths["corpus"],
+            lexicon_path=lang_paths["lemmas"],
+        )
+        lines = out.read_text(encoding="utf-8").split("\n")
+        tags = [int(line.split("\t")[1]) for line in lines if line]
+        assert tags == result.tags
 
     def test_tag_command_rejects_a_model_without_the_unk_column(
         self, lang_paths, tmp_path, capsys

@@ -143,6 +143,19 @@ def test_predictions_match_across_processes_and_hash_seeds(
         assert digests[0] == _golden()[f"{name}:{seed}"]["predictions_sha256"]
 
 
+def test_tagger_seed_does_not_change_predictions(tmp_path):
+    # The tagger starts from anchor words, not from the seeded Dirichlet
+    # draws, so on a workload with anchors the seed moves no output.
+    paths = write_workload(WORKLOADS["short-sentences"], 1, str(tmp_path))["paths"]
+    digests = set()
+    for seed in range(4):
+        out = tmp_path / f"predictions-{seed}.tsv"
+        run_pipeline(Config(mode="pcs-ii+iii", seed=seed), paths["corpus"],
+                     paths["lemmas"], paths["gold"], str(out))
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == {_golden()["short-sentences:1"]["predictions_sha256"]}
+
+
 #: An order-preserving, caseless relabelling of a-z onto Hiragana.
 KANA = str.maketrans({chr(ord("a") + i): chr(0x3041 + i) for i in range(26)})
 

@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 
 import tagger_oracle as oracle
 from paracomp import tagger
+from paracomp.config import Config
 from paracomp.corpus_io import Corpus, load_corpus
+from paracomp.pipeline import train_tagger
 from paracomp.tagger import (
+    EM_TOLERANCE,
     HmmModel,
+    anchor_start,
     load_model,
     save_model,
     tag_corpus,
@@ -69,7 +73,13 @@ def test_em_rows_are_stochastic(mini_corpus):
 def test_em_log_likelihood_non_decreasing(mini_corpus):
     model = train_hmm(mini_corpus, states=4, iterations=15, seed=1)
     ll = model.log_likelihoods
-    assert len(ll) == 15
+    # EM runs the full 15 passes or stops at the first flat one.
+    floor = len(mini_corpus)
+    flat = [
+        abs(b - a) <= EM_TOLERANCE * max(abs(a), floor) for a, b in zip(ll, ll[1:])
+    ]
+    assert len(ll) == 15 or flat[-1]
+    assert not any(flat[:-1])
     for before, after in zip(ll, ll[1:]):
         assert after >= before - 1e-6
 
@@ -83,6 +93,82 @@ def test_training_is_deterministic(mini_corpus):
     assert a.log_likelihoods == b.log_likelihoods
     c = train_hmm(mini_corpus, states=3, iterations=5, seed=43)
     assert not np.array_equal(a.emissions, c.emissions)
+
+
+def assert_stochastic(model):
+    for rows in (model.start[None, :], model.transitions, model.emissions):
+        assert np.all(rows >= 0)
+        assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+
+
+def test_anchor_start_picks_the_marker_words(mini_corpus):
+    # Each position of "marker word we" has one context, so one symbol
+    # of each position anchors a state, and each state emits the symbols
+    # of its position only, in proportion to their counts.
+    start = anchor_start(mini_corpus, states=3)
+    assert start.symbols == ["cat", "dog", "owl", "we", "xa", "xe"]
+    assert_stochastic(start)
+    assert np.all(start.transitions == 1 / 3)
+    emitted = {
+        tuple(np.flatnonzero(row > 1e-12).tolist()): row for row in start.emissions
+    }
+    assert sorted(emitted) == [(0, 1, 2), (3,), (4, 5)]
+    np.testing.assert_allclose(emitted[(0, 1, 2)][:3], 1 / 3, rtol=1e-12)
+    np.testing.assert_allclose(emitted[(4, 5)][4:6], 1 / 2, rtol=1e-12)
+    # Only three distinct contexts exist, so a fourth anchor does not.
+    assert anchor_start(mini_corpus, states=4) is None
+
+
+def test_anchor_start_needs_symbols_above_the_count_floor(tmp_path):
+    # No type occurs 5 times: there are no anchors, and the pipeline's
+    # tagger trains from the seeded Dirichlet start instead.
+    corpus = corpus_from_text(tmp_path, "a b c\nb c d\nc d a\nd a b\n")
+    assert anchor_start(corpus, states=2, unk_threshold=1) is None
+    config = Config(mode="pcs-iii", hmm_states=2, hmm_iterations=4, seed=3,
+                    unk_threshold=1)
+    trained = train_tagger(corpus, config)
+    seeded = train_hmm(corpus, states=2, iterations=4, seed=3, unk_threshold=1)
+    for name in ("start", "transitions", "emissions"):
+        assert np.array_equal(getattr(trained, name), getattr(seeded, name))
+    assert trained.log_likelihoods == seeded.log_likelihoods
+
+
+def test_train_rejects_a_start_for_other_symbols_or_states(mini_corpus):
+    start = anchor_start(mini_corpus, states=3)
+    with pytest.raises(ValueError, match="initial model"):
+        train_hmm(mini_corpus, states=2, init=start)
+    with pytest.raises(ValueError, match="initial model"):
+        train_hmm(mini_corpus, states=3, unk_threshold=50, init=start)
+
+
+def test_em_stops_at_the_first_flat_pass(mini_corpus):
+    start = anchor_start(mini_corpus, states=3)
+    unfitted = train_hmm(mini_corpus, states=3, iterations=0, init=start)
+    assert unfitted.log_likelihoods == []
+    for name in ("start", "transitions", "emissions"):
+        assert np.array_equal(getattr(unfitted, name), getattr(start, name))
+    model = train_hmm(mini_corpus, states=3, iterations=50, init=start)
+    ll = model.log_likelihoods
+    floor = len(mini_corpus)
+    flat = [
+        abs(b - a) <= EM_TOLERANCE * max(abs(a), floor) for a, b in zip(ll, ll[1:])
+    ]
+    assert 2 <= len(ll) < 50
+    assert flat[-1] and not any(flat[:-1])
+    assert_stochastic(model)
+    # The last log-likelihood evaluated the returned parameters: they are
+    # the ones one pass fewer returns, and a pass from them scores it.
+    capped = train_hmm(mini_corpus, states=3, iterations=len(ll) - 1, init=start)
+    assert capped.log_likelihoods == ll[:-1]
+    for name in ("start", "transitions", "emissions"):
+        assert np.array_equal(getattr(capped, name), getattr(model, name))
+    again = train_hmm(mini_corpus, states=3, iterations=1, init=model)
+    assert again.log_likelihoods == ll[-1:]
+    # The cap holds from either start.
+    once = train_hmm(mini_corpus, states=3, iterations=1, init=start)
+    assert len(once.log_likelihoods) == 1
+    seeded = train_hmm(mini_corpus, states=4, iterations=3, seed=1)
+    assert len(seeded.log_likelihoods) <= 3
 
 
 def test_rare_words_collapse_to_unk(tmp_path):
@@ -517,3 +603,30 @@ def test_training_memory_is_bounded_by_the_band_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_viterbi_memory_is_bounded_by_the_band_budget(monkeypatch):
+    budget, states = 256, 64
+    monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
+    # Two-token sentences put the most sentences in one band: 128 here.
+    corpus = Corpus(["a", "b"] * 4000, list(range(2, 8001, 2)))
+    rng = np.random.default_rng(0)
+    model = HmmModel(
+        start=rng.dirichlet(np.ones(states)),
+        transitions=rng.dirichlet(np.ones(states), size=states),
+        emissions=rng.dirichlet(np.ones(3), size=states),
+        symbols=["a", "b"],
+    )
+    # Sixteen band-sized float arrays, as in training.  A scores array of
+    # a band's sentences x states x states would not fit.
+    bound = 16 * budget * states * 8
+    assert (budget // 2) * states * states * 8 > bound
+    tags = tag_corpus(model, corpus)  # a first call, so lazy set-up is done
+    tracemalloc.start()
+    try:
+        tag_corpus(model, corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert tags == oracle.tag_corpus(model, corpus)
