@@ -36,7 +36,7 @@ class Config:
     context_window: int = 3
     bootstrap_rounds: int = 1
     hmm_states: int = 8
-    hmm_iterations: int = 20
+    hmm_iterations: int = 0
     unk_threshold: int = 2
     seed: int = 0
     baseline_slots: int = DEFAULT_BASELINE_SLOTS

@@ -227,18 +227,19 @@ def run_pipeline(
 
 
 def train_tagger(corpus: Corpus, config: Config) -> HmmModel:
-    """The tagger as the pipeline trains it: Baum-Welch from the anchor start.
+    """The tagger as the pipeline trains it: the anchor fit, then Baum-Welch.
 
-    A corpus with too few anchors starts from ``config.seed``'s Dirichlet
-    draws instead.
+    The fit has at most ``config.hmm_states`` states, fewer where the
+    corpus has fewer anchors, and ``config.hmm_iterations`` caps the
+    passes from it.
     """
+    init = anchor_start(corpus, config.hmm_states, config.unk_threshold)
     return train_hmm(
         corpus,
-        states=config.hmm_states,
+        states=init.states,
         iterations=config.hmm_iterations,
-        seed=config.seed,
         unk_threshold=config.unk_threshold,
-        init=anchor_start(corpus, config.hmm_states, config.unk_threshold),
+        init=init,
     )
 
 
@@ -307,7 +308,11 @@ def build_report(result: PipelineResult, config: Config) -> str:
             )
     if result.model is not None:
         lls = result.model.log_likelihoods
-        line = f"EM passes: {len(lls)} of at most {config.hmm_iterations}"
+        line = (
+            f"tagger: {result.model.states} states from anchors "
+            f"({config.hmm_states} requested), "
+            f"EM passes: {len(lls)} of at most {config.hmm_iterations}"
+        )
         if lls:
             line += f", final log-likelihood {lls[-1]:.4f}"
         lines.append(line)

@@ -1,20 +1,24 @@
 """Unsupervised HMM tagger: coarse syntactic states learned from raw text.
 
-A first-order hidden Markov model with a small state inventory is
-trained by expectation-maximization (Baum-Welch) on the corpus, one
-chain per sentence, and decoded with Viterbi.  The states carry no
-names; they only need to be consistent enough that words used the same
-way end up tagged the same way.
+A first-order hidden Markov model with a small state inventory is fit
+to the corpus, one chain per sentence, and decoded with Viterbi.  The
+states carry no names; they only need to be consistent enough that
+words used the same way end up tagged the same way.  ``anchor_start``
+fits the model from anchor words, with uniform start and transitions,
+and the pipeline tags with that fit as it is by default; ``train_hmm``
+refines a start with expectation-maximization (Baum-Welch).  On a
+uniform chain, Viterbi reduces to each token's most likely state.
 
-Both algorithms run on bands of sentences that step through time
-together, so the Python loop over time steps runs once per band rather
-than once per sentence: a pass takes as many steps as the longest
-sentences of the bands add up to.  A band is ragged and time-major.
-Its sentences descend in length, and block t of its rows holds step t
-of the sentences still running, which are always its first few.  So
-the predecessors of block t are the leading rows of block t-1, and each
-recursion step reads and writes two contiguous (sentences, states)
-slices.  No cell is padding: every row is a real token.
+Baum-Welch, and Viterbi on other chains, run on bands of sentences that
+step through time together, so the Python loop over time steps runs
+once per band rather than once per sentence: a pass takes as many
+steps as the longest sentences of the bands add up to.  A band is
+ragged and time-major.  Its sentences descend in length, and block t of
+its rows holds step t of the sentences still running, which are always
+its first few.  So the predecessors of block t are the leading rows of
+block t-1, and each recursion step reads and writes two contiguous
+(sentences, states) slices.  No cell is padding: every row is a real
+token.
 
 Each call allocates its working arrays once, sized for the largest
 band, and every band and EM pass reuses them, so working memory is
@@ -25,12 +29,12 @@ than ``sum(axis=...)`` at this size but sums in the linear algebra
 library's order: trained parameters, and the saved models, depend in
 their last digits on that library as well as on ``BATCH_TOKENS``.
 
-Rare word types are collapsed into a single UNK symbol before
-training.  EM starts from the parameters it is given, such as the
-deterministic ``anchor_start``, or else from Dirichlet draws of one
-seeded generator, so training is reproducible.  It stops once the
-log-likelihood is flat to ``EM_TOLERANCE``; from the anchor start that
-takes a few passes on the synthetic languages.
+Rare word types are collapsed into a single UNK symbol.  EM starts from
+the parameters it is given, such as the deterministic ``anchor_start``,
+or else from Dirichlet draws of one seeded generator, so training is
+reproducible.  It stops once the log-likelihood is flat to
+``EM_TOLERANCE``; from the anchor start that takes a few passes on the
+synthetic languages.
 """
 
 from __future__ import annotations
@@ -150,8 +154,8 @@ def _steps(counts: list[int]) -> list[tuple[int, int, int, int]]:
 
 def anchor_start(
     corpus: Corpus, states: int = 8, unk_threshold: int = 2
-) -> HmmModel | None:
-    """A deterministic start for ``train_hmm``, or None with too few anchors.
+) -> HmmModel:
+    """A deterministic HMM of at most ``states`` states, fit from anchor words.
 
     An anchor is a symbol that one state alone emits (Arora et al.,
     ICML 2013; Stratos, Collins and Hsu, TACL 2016).  Each symbol is
@@ -159,19 +163,27 @@ def anchor_start(
     count, the contexts being the most frequent symbols, all other
     symbols and the sentence boundary.  Among the frequent symbols, the
     anchors are picked greedily, each the row farthest from the affine
-    span of those already picked.  Every row is then fit by least squares
-    as a combination of the anchor rows; the coefficients, clipped at 0
-    and normalised, estimate P(state | symbol), so state k emits symbol w
-    in proportion to coefficient k times count(w).  Start and transitions
-    are uniform.  The symbols are ``train_hmm``'s for ``unk_threshold``.
+    span of those already picked, until there are ``states`` of them or
+    every frequent row lies in their span; one state is fit per anchor.
+    Every row is then fit by least squares as a combination of the anchor
+    rows; the coefficients, clipped at 0 and normalised, estimate
+    P(state | symbol), so state k emits symbol w in proportion to
+    coefficient k times count(w).  With no symbol frequent enough to be
+    an anchor, the one state emits each symbol in proportion to its
+    count.  Start and transitions are uniform.  The symbols are
+    ``train_hmm``'s for ``unk_threshold``.
     """
+    if len(corpus) == 0:
+        raise ValueError("corpus is empty")
     symbols = _symbols(corpus, unk_threshold)
     width = len(symbols) + 1
     codes = _codes(corpus, symbols)
     counts = np.bincount(codes, minlength=width)
     candidates = np.flatnonzero(counts >= max(_ANCHOR_MIN_COUNT, np.median(counts)))
-    if candidates.shape[0] < states:
-        return None
+    if candidates.shape[0] == 0:
+        return HmmModel(
+            np.ones(1), np.ones((1, 1)), counts[None, :] / counts.sum(), symbols
+        )
 
     top = np.argsort(-counts, kind="stable")[:_ANCHOR_CONTEXTS]
     column = np.full(width, top.shape[0])  # every other symbol shares one column
@@ -192,11 +204,11 @@ def anchor_start(
     picked = [int(np.argmax(np.einsum("ij,ij->i", points, points)))]
     residual = points - points[picked[0]]
     shift = np.empty_like(residual)
-    for _ in range(states - 1):
+    for _ in range(min(states, candidates.shape[0]) - 1):
         norms = np.einsum("ij,ij->i", residual, residual)
         best = int(np.argmax(norms))
         if norms[best] <= 1e-12:  # every row is in the span, up to rounding
-            return None
+            break
         direction = residual[best] / np.sqrt(norms[best])
         residual -= np.outer(residual @ direction, direction, out=shift)
         picked.append(best)
@@ -205,6 +217,7 @@ def anchor_start(
     # counts, which scales each row's coefficients by its count until
     # they are normalised.  A K x K solve and einsum keep to one thread,
     # where lstsq, an SVD or a large matmul would start BLAS threads.
+    states = len(picked)
     anchors = points[picked]
     solved = np.linalg.solve(anchors @ anchors.T, anchors)
     weights = np.einsum("kd,wd->kw", solved, rows)  # (K, W+1)
@@ -255,6 +268,16 @@ def train_hmm(
             f"and {states} states"
         )
     width = len(symbols) + 1
+    if init is None:
+        rng = np.random.default_rng(seed)
+        start = rng.dirichlet(np.ones(states))
+        transitions = np.vstack([rng.dirichlet(np.ones(states)) for _ in range(states)])
+        emissions = np.vstack([rng.dirichlet(np.ones(width)) for _ in range(states)])
+    else:
+        start, transitions, emissions = init.start, init.transitions, init.emissions
+    if iterations == 0:
+        return HmmModel(start, transitions, emissions, symbols)
+
     bands = []
     for _, obs, running in _batches(corpus, symbols):
         steps = _steps(running)
@@ -273,14 +296,6 @@ def train_hmm(
     workspace = [np.empty((size, states)) for _ in range(4)] + [np.empty((size, 1))]
     ones = np.ones((states, 1))  # x @ ones sums the rows of x
     offsets = np.arange(states)
-
-    if init is None:
-        rng = np.random.default_rng(seed)
-        start = rng.dirichlet(np.ones(states))
-        transitions = np.vstack([rng.dirichlet(np.ones(states)) for _ in range(states)])
-        emissions = np.vstack([rng.dirichlet(np.ones(width)) for _ in range(states)])
-    else:
-        start, transitions, emissions = init.start, init.transitions, init.emissions
 
     log_likelihoods: list[float] = []
     for _ in range(iterations):
@@ -361,6 +376,14 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     Ties take the lower state index.  An emission column that is all
     zero (a symbol this model has never expected) is treated as
     uniform so decoding stays defined.
+
+    When start and transitions are uniform, as ``anchor_start`` fits
+    them, every path gets the same start and transition scores, so the
+    best path takes each token's best state: one lookup per token
+    instead of a pass through the chain.  (The pass adds each token's
+    scores to a running total, where two scores that differ only in
+    their last bits can round to a tie; the lookup compares them
+    unrounded.)
     """
     states = model.states
     with np.errstate(divide="ignore"):
@@ -369,6 +392,15 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
         log_emit = np.log(model.emissions)
     dead = ~np.isfinite(log_emit).any(axis=0)  # all-zero emission columns
     log_emit[:, dead] = -np.log(states)
+    # A start or transitions of all zeros is flat too, but every path
+    # then scores -inf and the pass below tags every token 0.
+    if (
+        np.all(log_start == log_start[0])
+        and np.all(log_trans == log_trans[0, 0])
+        and np.isfinite(log_start[0] + log_trans[0, 0])
+    ):
+        best = np.argmax(log_emit, axis=0)  # first maximum: lower state
+        return best[_codes(corpus, model.symbols)].tolist()
     emit_table = np.ascontiguousarray(log_emit.T)  # (W+1, K)
 
     bands = _batches(corpus, model.symbols)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paracomp import tagger
 from paracomp.cli import _config_from_args, build_parser, main
 from paracomp.config import Config, build_config, parse_config_file
 from paracomp.corpus_io import read_predictions
@@ -308,6 +309,50 @@ class TestFullModes:
             lexicon_path=lang_paths["lemmas"],
         )
         assert "EM passes: 0 of at most 0\n" in unfitted.report
+
+    def test_report_names_the_states_fit_from_anchors(self, lang_paths):
+        # This language has anchors for 7 states, one fewer than asked for.
+        result = run_pipeline(
+            Config(mode="pcs-ii+iii"),
+            corpus_path=lang_paths["corpus"],
+            lexicon_path=lang_paths["lemmas"],
+        )
+        assert result.model.states == 7
+        line = "tagger: 7 states from anchors (8 requested), EM passes: 0 of at most 0\n"
+        assert line in result.report
+
+    def test_few_anchors_fit_fewer_states_whatever_the_seed(
+        self, lang_paths, tmp_path
+    ):
+        # With fewer anchors than states the tagger fits fewer states
+        # rather than drawing a random start, so the seed moves nothing.
+        outputs = set()
+        for seed in range(4):
+            out = tmp_path / f"pred-{seed}.tsv"
+            result = run_pipeline(
+                Config(mode="pcs-ii+iii", seed=seed),
+                corpus_path=lang_paths["corpus"],
+                lexicon_path=lang_paths["lemmas"],
+                gold_path=lang_paths["gold"],
+                out_path=str(out),
+            )
+            assert result.scores.macro == 1.0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
+    def test_default_tagger_never_bands_the_corpus(self, lang_paths, monkeypatch):
+        # No Baum-Welch pass runs, and Viterbi on the anchor fit's uniform
+        # chain is a per-token lookup, so the corpus is never banded.
+        def refuse(*args):
+            raise AssertionError("the corpus was banded")
+
+        monkeypatch.setattr(tagger, "_batches", refuse)
+        result = run_pipeline(
+            Config(mode="pcs-ii+iii"),
+            corpus_path=lang_paths["corpus"],
+            lexicon_path=lang_paths["lemmas"],
+        )
+        assert len(result.tags) == lang_paths["tokens"]
 
     def test_tree_modes_report_no_windows(self, lang_paths):
         result = run_pipeline(

@@ -41,7 +41,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 SEEDS = (1, 7)
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from workloads import WORKLOADS, write_workload  # noqa: E402
+from workloads import WORKLOADS, build_language, write_workload  # noqa: E402
 
 
 def shuffle_lines(path: str, seed: int) -> None:
@@ -154,6 +154,22 @@ def test_tagger_seed_does_not_change_predictions(tmp_path):
                      paths["lemmas"], paths["gold"], str(out))
         digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests == {_golden()["short-sentences:1"]["predictions_sha256"]}
+
+
+def test_zipfian_fillers_keep_short_sentences_recovered(tmp_path):
+    # Noise: about 1.5 filler tokens per sentence, drawn from 300 types
+    # with Zipfian weights, inserted at random places.
+    lang = build_language(WORKLOADS["short-sentences"], 1)
+    rng = random.Random(20261020)
+    fillers = [f"f{rank:03d}" for rank in range(300)]
+    weights = [1 / rank for rank in range(1, 301)]
+    for sentence in lang.sentences:
+        for _ in range(rng.choice((1, 2))):
+            sentence.insert(rng.randint(0, len(sentence)),
+                            rng.choices(fillers, weights)[0])
+    corpus, lemmas, gold = lang.write(str(tmp_path))
+    result = run_pipeline(Config(mode="pcs-ii+iii"), corpus, lemmas, gold)
+    assert result.scores.macro == 1.0
 
 
 #: An order-preserving, caseless relabelling of a-z onto Hiragana.

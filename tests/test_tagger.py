@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 import tracemalloc
 from itertools import accumulate
 from unittest import mock
@@ -23,6 +25,10 @@ from paracomp.tagger import (
     train_hmm,
     write_tagged,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+
+from workloads import WORKLOADS, build_language  # noqa: E402
 
 
 def corpus_from_text(tmp_path, text):
@@ -115,22 +121,28 @@ def test_anchor_start_picks_the_marker_words(mini_corpus):
     assert sorted(emitted) == [(0, 1, 2), (3,), (4, 5)]
     np.testing.assert_allclose(emitted[(0, 1, 2)][:3], 1 / 3, rtol=1e-12)
     np.testing.assert_allclose(emitted[(4, 5)][4:6], 1 / 2, rtol=1e-12)
-    # Only three distinct contexts exist, so a fourth anchor does not.
-    assert anchor_start(mini_corpus, states=4) is None
+    # Only three distinct contexts exist, so a fourth anchor does not,
+    # and asking for four states fits the same three.
+    fewer = anchor_start(mini_corpus, states=4)
+    assert fewer.states == 3
+    for name in ("start", "transitions", "emissions"):
+        assert np.array_equal(getattr(fewer, name), getattr(start, name))
 
 
 def test_anchor_start_needs_symbols_above_the_count_floor(tmp_path):
-    # No type occurs 5 times: there are no anchors, and the pipeline's
-    # tagger trains from the seeded Dirichlet start instead.
+    # No type occurs 5 times: there are no anchors, so one state emits
+    # each symbol in proportion to its count, and the pipeline tags with it.
     corpus = corpus_from_text(tmp_path, "a b c\nb c d\nc d a\nd a b\n")
-    assert anchor_start(corpus, states=2, unk_threshold=1) is None
-    config = Config(mode="pcs-iii", hmm_states=2, hmm_iterations=4, seed=3,
-                    unk_threshold=1)
+    start = anchor_start(corpus, states=2, unk_threshold=1)
+    assert start.states == 1
+    assert_stochastic(start)
+    np.testing.assert_array_equal(start.emissions, [[0.25, 0.25, 0.25, 0.25, 0.0]])
+    config = Config(mode="pcs-iii", hmm_states=2, unk_threshold=1)
     trained = train_tagger(corpus, config)
-    seeded = train_hmm(corpus, states=2, iterations=4, seed=3, unk_threshold=1)
     for name in ("start", "transitions", "emissions"):
-        assert np.array_equal(getattr(trained, name), getattr(seeded, name))
-    assert trained.log_likelihoods == seeded.log_likelihoods
+        assert np.array_equal(getattr(trained, name), getattr(start, name))
+    assert trained.log_likelihoods == []
+    assert tag_corpus(trained, corpus) == [0] * len(corpus)
 
 
 def test_train_rejects_a_start_for_other_symbols_or_states(mini_corpus):
@@ -585,6 +597,52 @@ def test_batched_tagger_matches_loop_on_random_corpora(
             seed=seed,
             unk_threshold=unk_threshold,
         )
+
+
+@st.composite
+def uniform_chains(draw):
+    """A random corpus and a model for it whose start and transitions are flat.
+
+    Emissions come from a few small integers, so columns tie and some
+    are all zero; the kept symbols are a subset, so UNK occurs.  Start
+    and transitions are 1/K, or all zero, which is flat but not a chain.
+    """
+    corpus = draw(random_corpora())
+    states = draw(st.integers(1, 4))
+    symbols = sorted(draw(st.sets(st.sampled_from(sorted(set(corpus.tokens))))))
+    width = len(symbols) + 1
+    cells = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]),
+                          min_size=states * width, max_size=states * width))
+    emissions = np.array(cells, dtype=float).reshape(states, width)
+    sums = emissions.sum(axis=1, keepdims=True)
+    emissions = np.divide(emissions, sums, out=emissions, where=sums > 0)
+    start, trans = (draw(st.sampled_from([1 / states, 0.0])) for _ in range(2))
+    model = HmmModel(np.full(states, start), np.full((states, states), trans),
+                     emissions, symbols)
+    return corpus, model
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=uniform_chains())
+def test_viterbi_on_a_uniform_chain_is_a_lookup(chain):
+    corpus, model = chain
+    expected = oracle.tag_corpus(model, corpus)
+    if model.start[0] > 0 and model.transitions[0, 0] > 0:
+        # The lookup never bands the corpus.
+        with mock.patch.object(tagger, "_batches", side_effect=AssertionError):
+            assert tag_corpus(model, corpus) == expected
+    else:
+        assert tag_corpus(model, corpus) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_anchor_fit_of_each_workload_tags_as_the_oracle(name, seed):
+    sentences = build_language(WORKLOADS[name], seed).sentences
+    corpus = Corpus([token for sentence in sentences for token in sentence],
+                    list(accumulate(map(len, sentences))))
+    model = anchor_start(corpus)
+    assert tag_corpus(model, corpus) == oracle.tag_corpus(model, corpus)
 
 
 def test_training_memory_is_bounded_by_the_band_budget(monkeypatch):
