@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .discovery import GramIndex, TreeCensus, find_candidates, retain_frequent_trees
-from .edit_tree import EditTree, apply, inverse, last_literal
+from .edit_tree import IDENTITY, EditTree, Match, Replace, apply, inverse, last_literal
 from .lexicon import WeightedLexicon
 
 
@@ -26,31 +26,54 @@ def _sources(vocab, trees) -> dict[EditTree, list[str]]:
     """For each distinct tree, the attested words it maps onto attested words.
 
     The words are found from the output side: a tree's output ends in
-    its rightmost target literal, so each attested word ``v`` is tried
-    only against the trees whose literal ends ``v``, and the single word
-    such a tree could map onto ``v`` is the inverse tree's output.
+    its rightmost target literal, so one pass over the vocabulary
+    buckets the attested words ``v`` by the literals that end them, and
+    each tree is tried only on its bucket.  The single word a tree
+    could map onto ``v`` is the inverse tree's output.  Each tree's
+    words come in the vocabulary order of the ``v`` they map onto.
 
     A tree that applies to any word equals the inverse of its inverse,
     and so maps every output of its inverse back onto that output's
     input: the word found from ``v`` is one the tree maps onto ``v``.
     A tree with ``inverse(inverse(t)) != t`` applies to nothing and
-    gets no words.
+    gets no words.  ``IDENTITY`` maps every word onto itself.  An affix
+    tree, whose inverse is a ``Match`` of two leaves, maps its bucket
+    with ``apply``'s checks inlined; every other tree calls ``apply``.
     """
     found: dict[EditTree, list[str]] = {tree: [] for tree in trees}
-    buckets: dict[str, list[tuple[EditTree, EditTree]]] = {}
+    backs: dict[EditTree, tuple[str, EditTree]] = {}
     for tree in found:
+        if tree == IDENTITY:
+            found[tree] = list(vocab.types)
+            continue
         back = inverse(tree)
         if inverse(back) == tree:
-            buckets.setdefault(last_literal(tree), []).append((tree, back))
+            backs[tree] = (last_literal(tree), back)
+    buckets: dict[str, list[str]] = {literal: [] for literal, _ in backs.values()}
     lengths = sorted({len(literal) for literal in buckets})
     for out in vocab.types:
         for k in lengths:
             if k > len(out):
                 break
-            for tree, back in buckets.get(out[len(out) - k:], ()):
-                word = apply(back, out)
-                if word is not None and word in vocab:
-                    found[tree].append(word)
+            bucket = buckets.get(out[len(out) - k:])
+            if bucket is not None:
+                bucket.append(out)
+    for tree, (literal, back) in backs.items():
+        bucket = buckets[literal]
+        if (isinstance(back, Match) and isinstance(back.left, Replace)
+                and isinstance(back.right, Replace)):
+            i, j, (head_old, head), (tail_old, tail) = back
+            found[tree] = [
+                word for out in bucket
+                if len(out) - j >= i and out[:i] == head_old
+                and out[len(out) - j:] == tail_old
+                and (word := head + out[i:len(out) - j] + tail) in vocab
+            ]
+        else:
+            found[tree] = [
+                word for out in bucket
+                if (word := apply(back, out)) is not None and word in vocab
+            ]
     return found
 
 

@@ -78,15 +78,23 @@ def load_corpus(path: str) -> tuple[Corpus, Vocabulary]:
     """Read a one-sentence-per-line corpus file: the corpus and its ``vocab``.
 
     Blank lines are skipped.  Invalid UTF-8 is rejected with the
-    offending line number in the message.
+    offending line number in the message.  Lines split and decode as
+    ``_lines`` reads them, but in a text-mode file; on a decoding error
+    ``_lines`` reads the file again to name the line.
     """
     tokens: list[str] = []
     boundaries: list[int] = []
-    for _, line in _lines(path):
-        words = line.lower().split()
-        if words:
-            tokens.extend(words)
-            boundaries.append(len(tokens))
+    try:
+        with open(path, encoding="utf-8-sig", newline="\n") as handle:
+            for line in handle:
+                words = line.lower().split()
+                if words:
+                    tokens.extend(words)
+                    boundaries.append(len(tokens))
+    except UnicodeDecodeError:
+        for _ in _lines(path):
+            pass
+        raise
     corpus = Corpus(tokens, boundaries)
     return corpus, corpus.vocab
 

@@ -25,9 +25,12 @@ def _gram_index(words: list[str], k: int) -> dict[str, list[int]]:
     index: dict[str, list[int]] = {}
     for i, word in enumerate(words):
         for j in range(len(word) - k + 1):
-            hits = index.setdefault(word[j:j + k], [])
+            gram = word[j:j + k]
+            hits = index.get(gram)
+            if hits is None:
+                index[gram] = [i]
             # A gram repeated within the word is already listed for it.
-            if not hits or hits[-1] != i:
+            elif hits[-1] != i:
                 hits.append(i)
     return index
 

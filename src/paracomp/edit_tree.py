@@ -96,8 +96,20 @@ def longest_common_substring(x: str, y: str) -> tuple[int, int, int]:
 def construct(source: str, target: str) -> EditTree:
     """Build the edit tree that rewrites ``source`` into ``target``."""
     # An empty side shares nothing, and most flanks of a suffixing pair
-    # are empty, so those skip the search.
+    # are empty, so those skip the search.  When one side contains the
+    # other, the longest common substring is the shorter side at its
+    # first occurrence in the longer, as the search finds it, so one
+    # ``str.find`` gives the tree.
     if source and target:
+        j = target.find(source)
+        if j >= 0:
+            return Match(0, 0, Replace("", target[:j]),
+                         Replace("", target[j + len(source):]))
+        i = source.find(target)
+        if i >= 0:
+            return Match(i, len(source) - i - len(target),
+                         Replace(source[:i], ""),
+                         Replace(source[i + len(target):], ""))
         length, sx, sy = longest_common_substring(source, target)
         if length:
             return Match(

@@ -33,12 +33,12 @@ def merge_syncretic_slots(table: dict) -> dict:
     collapse into the first one in sorted order.  Works on gold tables
     (str slot labels) and predictions (int slot ids) alike.
     """
-    lemmas = sorted(table)
-    slots = sorted({slot for row in table.values() for slot in row})
+    rows = [table[lemma] for lemma in sorted(table)]
+    slots = sorted({slot for row in rows for slot in row})
     first_with_column: dict[tuple, Hashable] = {}
     keep: list = []
     for slot in slots:
-        column = tuple(table[lemma].get(slot) for lemma in lemmas)
+        column = tuple([row.get(slot) for row in rows])
         if column not in first_with_column:
             first_with_column[column] = slot
             keep.append(slot)
@@ -176,8 +176,8 @@ def best_match_accuracy(
         return BmaccResult(0.0, 0.0, n_gold, 0, [])
 
     pred_index = {slot: j for j, slot in enumerate(pred_slots)}
-    attested = np.zeros(n_gold)
-    correct = np.zeros((n_gold, n_pred))
+    counts = [0] * n_gold
+    cells = [[0] * n_pred for _ in range(n_gold)]
     for lemma in sorted(g):
         row = g[lemma]
         pred_row = p.get(lemma, {})
@@ -188,9 +188,12 @@ def best_match_accuracy(
             form = row.get(slot)
             if form is None:
                 continue
-            attested[i] += 1
+            counts[i] += 1
+            hits = cells[i]
             for j in by_form.get(form, ()):
-                correct[i, j] += 1
+                hits[j] += 1
+    attested = np.array(counts, dtype=float)
+    correct = np.array(cells, dtype=float)
 
     denominator = max(n_gold, n_pred)
     accuracy = correct / attested[:, None]

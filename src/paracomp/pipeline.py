@@ -32,6 +32,7 @@ from .corpus_io import (
     read_predictions,
     write_predictions,
 )
+from .discovery import TreeCensus, min_tree_support
 from .edit_tree import EditTree, apply
 from .evaluation import BmaccResult, best_match_accuracy, lemma_baseline
 from .inflection import RuleTable, SlotRules, extract_affix_rules, inflect
@@ -70,6 +71,8 @@ class PipelineResult:
     model: HmmModel | None = None
     tags: list[int] | None = None
     lexicon: WeightedLexicon | None = None
+    #: Every tree discovery built, with its weighted support.
+    census: TreeCensus | None = None
     #: Tokens with a full clustering window inside their sentence.
     windowed_tokens: int | None = None
     scores: BmaccResult | None = None
@@ -178,6 +181,7 @@ def run_pipeline(
             )
             result.trees = boot.trees
             result.lexicon = boot.lexicon
+            result.census = boot.census
         if mode in _TREE_MODES:
             with _stage("generate", timings):
                 result.predictions = _trees_to_predictions(
@@ -295,7 +299,13 @@ def build_report(result: PipelineResult, config: Config) -> str:
             f"{len(result.lexicon) - seed} discovered"
         )
     if result.trees:
-        lines.append(f"retained trees: {len(result.trees)}")
+        cutoff = min_tree_support(
+            result.lexicon.effective_size(), config.tree_support_factor
+        )
+        lines.append(
+            f"retained trees: {len(result.trees)} of "
+            f"{len(result.census.weights)} built, support cutoff {cutoff:.2f}"
+        )
     lines.append(f"predicted slots: {result.slot_count}")
     if result.windowed_tokens is not None:
         lines.append(

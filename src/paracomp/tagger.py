@@ -246,7 +246,8 @@ def train_hmm(
     EM runs at most ``iterations`` passes, and stops at the first pass
     whose log-likelihood moved by at most ``EM_TOLERANCE`` times the one
     before (or times the token count, if larger), returning the
-    parameters that pass evaluated.
+    parameters that pass evaluated.  Only a pass needs two tokens, so
+    at 0 passes the start comes back on a shorter corpus too.
 
     The recorded log-likelihood list holds one entry per pass, each
     evaluating the parameters *before* that pass's update, so the
@@ -254,7 +255,7 @@ def train_hmm(
     in the M-step: probabilities the data does not support go to exactly
     zero.
     """
-    if len(corpus) < 2:
+    if iterations > 0 and len(corpus) < 2:
         raise ValueError("corpus too small to train on (need at least 2 tokens)")
     if states < 1:
         raise ValueError(f"states must be >= 1, got {states}")

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 import bootstrap_oracle
 from paracomp.bootstrap import (
+    _sources,
     bootstrap,
     discover_new_lemmas,
     min_discovery_evidence,
 )
 from paracomp.config import Config
 from paracomp.corpus_io import Corpus, Vocabulary
-from paracomp.edit_tree import IDENTITY, Match, Replace, construct, to_sexpr
+from paracomp.edit_tree import IDENTITY, Match, Replace, apply, construct, to_sexpr
 from paracomp.lexicon import LexiconEntry, WeightedLexicon
 from paracomp.synth import generate_language
 
@@ -197,6 +198,75 @@ def test_discover_matches_oracle(case):
     sources = {}
     discover_new_lemmas(vocab, trees[::2], WeightedLexicon([]), factor, sources)
     assert discover_new_lemmas(vocab, trees, lexicon, factor, sources) == want
+
+
+def sources_by_apply(vocab, trees):
+    """Each tree's words by applying it to every word, in its outputs' order."""
+    position = {word: i for i, word in enumerate(vocab.types)}
+    found = {}
+    for tree in trees:
+        hits = []
+        for word in vocab.types:
+            out = apply(tree, word)
+            if out in position:
+                hits.append((position[out], word))
+        found[tree] = [word for _, word in sorted(hits)]
+    return found
+
+
+@st.composite
+def affix_trees(draw, text):
+    """Affix trees: half with leaves as long as their node says, half any."""
+    head, tail = draw(text), draw(text)
+    if draw(st.booleans()):
+        i, j = len(head), len(tail)
+    else:
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return Match(i, j, Replace(head, draw(text)), Replace(tail, draw(text)))
+
+
+@st.composite
+def source_cases(draw):
+    # Two letters make words that share affixes, so trees find many words.
+    text = draw(st.sampled_from([_words, st.text(alphabet="ab", max_size=5)]))
+    words = draw(st.lists(text, min_size=1, max_size=30, unique=True))
+    word = st.sampled_from(words)
+    pairs = draw(st.lists(st.tuples(word, word), max_size=8))
+    trees = [construct(x, y) for x, y in pairs]
+    trees += draw(st.lists(affix_trees(text), max_size=4))
+    trees += draw(st.lists(_hand_trees, max_size=3))
+    trees += draw(st.lists(st.builds(Replace, word, word), max_size=2))
+    trees.append(IDENTITY)
+    return vocab_of(*words), draw(st.permutations(trees))
+
+
+@settings(max_examples=400, deadline=None)
+@given(source_cases())
+def test_sources_match_applying_every_tree_to_every_word(case):
+    vocab, trees = case
+    want = sources_by_apply(vocab, dict.fromkeys(trees))
+    assert list(_sources(vocab, trees).items()) == list(want.items())
+
+
+@pytest.mark.parametrize("tree", [
+    # Leaf ``old`` longer, then shorter, than the prefix and suffix lengths.
+    Match(1, 0, Replace("ab", ""), Replace("", "s")),
+    Match(0, 1, Replace("", "x"), Replace("", "s")),
+    Match(3, 0, Replace("ab", "c"), Replace("", "")),
+    Match(0, 0, Replace("a", "b"), Replace("s", "")),
+    Match(1, 1, Replace("a", ""), Replace("s", "ed")),
+    # "ab" starts with its inverse's prefix "ab" and ends with its
+    # suffix "b", but is too short to hold both.
+    Match(1, 1, Replace("x", "ab"), Replace("y", "b")),
+    # Nested: "naj" + x + "iejsz" + c -> x + c.
+    construct("najtrudniejszy", "trudny"),
+])
+def test_sources_of_hand_built_trees(tree):
+    vocab = vocab_of(
+        "abs", "s", "x", "xs", "cs", "bed", "as", "ab", "c", "b", "xy",
+        "najtrudniejszy", "mlodny", "trudny", "najmlodniejszy",
+    )
+    assert _sources(vocab, [tree]) == sources_by_apply(vocab, [tree])
 
 
 def test_duplicate_trees_count_twice():

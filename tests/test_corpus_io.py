@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from paracomp.config import Config, parse_config_file
 from paracomp.corpus_io import (
     Corpus,
     Vocabulary,
+    _lines,
     load_corpus,
     load_gold,
     load_lexicon,
@@ -82,6 +86,55 @@ def test_load_corpus_rejects_bad_utf8(tmp_path):
     path.write_bytes(b"good line\n\xff\xfe broken\n")
     with pytest.raises(ValueError, match="line 2"):
         load_corpus(str(path))
+
+
+def load_by_lines(path):
+    """The corpus as ``_lines`` reads it: the reference for ``load_corpus``."""
+    tokens, boundaries = [], []
+    for _, line in _lines(path):
+        words = line.lower().split()
+        if words:
+            tokens.extend(words)
+            boundaries.append(len(tokens))
+    return Corpus(tokens, boundaries)
+
+
+def corpus_or_error(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+_VALID = [
+    b"a", b"Bc", " İé".encode(), b" ", b"\t", b"\n", b"\r\n", b"\r", b"\x0b",
+    b"\x1c", "\x85".encode(), "\u2028".encode(), "\ufeff".encode(),
+]
+#: A stray byte and multi-byte characters cut short.
+_INVALID = [b"\xff", b"\xc3", b"\xe2\x80"]
+
+
+@st.composite
+def corpus_bytes(draw):
+    """Lines of awkward text, maybe a filler past the first 8 KiB, maybe bad bytes."""
+    parts = draw(st.lists(st.sampled_from(_VALID * 4 + _INVALID), max_size=12))
+    if draw(st.booleans()):
+        size = draw(st.sampled_from([8191, 8192, 9000]))
+        parts.insert(draw(st.integers(0, len(parts))), (b"ab cd\n" * 1600)[:size])
+    if draw(st.booleans()):
+        parts.append(draw(st.sampled_from(_INVALID)))
+    return b"".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_bytes())
+def test_load_corpus_matches_the_line_reader(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.txt")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        got = corpus_or_error(lambda p: load_corpus(p)[0], path)
+        assert got == corpus_or_error(load_by_lines, path)
 
 
 def test_load_lexicon_dedup_keeps_first(tmp_path):

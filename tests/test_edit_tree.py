@@ -89,6 +89,45 @@ def test_construct_matches_oracle_construct(x, y):
     assert to_sexpr(construct(x, y)) == to_sexpr(edit_tree_oracle.construct(x, y))
 
 
+@st.composite
+def contained_pairs(draw):
+    """(x, y) with one inside the other, at any offset, maybe repeated.
+
+    The outer string is ``base`` with the inner one inserted at a drawn
+    offset, and ``base`` may hold more copies of it, as "ab" in "xabab".
+    """
+    inner = draw(_TIE_TEXT.filter(bool))
+    chunk = st.just(inner) | st.text(alphabet="abx", max_size=3)
+    base = "".join(draw(st.lists(chunk, max_size=4)))
+    at = draw(st.integers(0, len(base)))
+    outer = base[:at] + inner + base[at:]
+    return draw(st.sampled_from([(inner, outer), (outer, inner), (inner, inner)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(contained_pairs())
+def test_contained_pairs_match_oracle_construct(pair):
+    x, y = pair
+    assert to_sexpr(construct(x, y)) == to_sexpr(edit_tree_oracle.construct(x, y))
+
+
+@pytest.mark.parametrize(
+    "inner, base", [("ab", "xabab"), ("a", "aba"), ("é", "xé")],
+    ids=["repeated", "overlapping", "non-ascii"],
+)
+def test_contained_pairs_skip_the_search_at_every_offset(inner, base, monkeypatch):
+    searched = []
+    monkeypatch.setattr(
+        edit_tree, "longest_common_substring",
+        lambda x, y: searched.append((x, y)),
+    )
+    for at in range(len(base) + 1):
+        outer = base[:at] + inner + base[at:]
+        for x, y in ((inner, outer), (outer, inner)):
+            assert construct(x, y) == edit_tree_oracle.construct(x, y)
+    assert searched == []
+
+
 def _random_pair(alphabet: str, size: int, seed: int) -> tuple[str, str]:
     rng = random.Random(seed)
     x = "".join(rng.choice(alphabet) for _ in range(size))

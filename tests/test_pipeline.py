@@ -208,6 +208,9 @@ class TestTreeModes:
         ]
         assert "mode: pcs-i" in result.report
         assert "retained trees: 5" in result.report
+        # Every tree built clears the support floor of 2.
+        assert sorted(result.census.weights, key=str) == sorted(result.trees, key=str)
+        assert "retained trees: 5 of 5 built, support cutoff 2.00\n" in result.report
 
     def test_tree_mode_scoring(self, lang_paths, tmp_path):
         out = tmp_path / "pred.tsv"
@@ -353,6 +356,25 @@ class TestFullModes:
             lexicon_path=lang_paths["lemmas"],
         )
         assert len(result.tags) == lang_paths["tokens"]
+
+    @pytest.mark.parametrize("mode", ["pcs-iii", "pcs-ii+iii"])
+    def test_one_token_corpus_runs(self, tmp_path, mode):
+        # Only Baum-Welch needs two tokens, and the default runs no pass.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("walked\n", encoding="utf-8")
+        lexicon = tmp_path / "lemmas.txt"
+        lexicon.write_text("walk\n", encoding="utf-8")
+        result = run_pipeline(
+            Config(mode=mode), corpus_path=str(corpus), lexicon_path=str(lexicon)
+        )
+        assert result.slot_count == 0
+        assert result.model.states == 1
+        assert "warning: no sentence holds a full 3-tag window" in result.report
+        corpus.write_text("\n", encoding="utf-8")
+        with pytest.raises(StageError, match="stage 'tag' failed: corpus is empty"):
+            run_pipeline(
+                Config(mode=mode), corpus_path=str(corpus), lexicon_path=str(lexicon)
+            )
 
     def test_tree_modes_report_no_windows(self, lang_paths):
         result = run_pipeline(
