@@ -6,6 +6,8 @@ distributional context, and generates a full inflection table per
 lemma.  Includes a best-match evaluator and reference baselines.
 """
 
+import importlib
+
 from .bootstrap import (
     BootstrapResult,
     bootstrap,
@@ -55,21 +57,33 @@ from .inflection import (
 )
 from .lexicon import LexiconEntry, WeightedLexicon
 from .pipeline import PipelineResult, StageError, build_report, run_pipeline
-from .slot_clustering import (
-    MergeEvent,
-    SlotState,
-    context_counts,
-    group_surface_changes,
-)
-from .synth import SyntheticLanguage, generate_language
-from .tagger import (
-    HmmModel,
-    anchor_start,
-    load_model,
-    save_model,
-    tag_corpus,
-    train_hmm,
-    write_tagged,
-)
+
+#: Exports from the modules that load numpy, and the generator of synthetic
+#: languages, each imported the first time it is accessed.
+_LAZY = {
+    **dict.fromkeys(
+        ("MergeEvent", "SlotState", "context_counts", "group_surface_changes"),
+        "slot_clustering",
+    ),
+    **dict.fromkeys(("SyntheticLanguage", "generate_language"), "synth"),
+    **dict.fromkeys(
+        ("HmmModel", "anchor_start", "load_model", "save_model", "tag_corpus",
+         "train_hmm", "write_tagged"),
+        "tagger",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

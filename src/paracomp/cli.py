@@ -15,8 +15,6 @@ from .config import MODES, Config, build_config, parse_config_file
 from .corpus_io import load_corpus
 from .inflection import dump_rules
 from .pipeline import StageError, run_pipeline, train_tagger
-from .synth import generate_language
-from .tagger import load_model, save_model, tag_corpus, write_tagged
 
 # Every Config field except mode is a flag; field types are strings
 # because config.py postpones annotations.
@@ -70,6 +68,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import generate_language
+
     language = generate_language(
         slots=args.slots,
         lemmas=args.lemmas,
@@ -85,6 +85,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
+    from .tagger import load_model, save_model, tag_corpus, write_tagged
+
     corpus, _ = load_corpus(args.corpus)
     if args.model_in:
         model = load_model(args.model_in)

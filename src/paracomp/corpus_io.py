@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Vocabulary(dict):
@@ -53,6 +54,8 @@ class Corpus:
     @cached_property
     def ids(self) -> np.ndarray:
         """Each token's index into ``types``."""
+        import numpy as np  # only the tagger and the clusterer read ids
+
         return np.fromiter(map(self.vocab.__getitem__, self.tokens), np.intp, len(self))
 
 

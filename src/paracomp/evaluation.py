@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Hashable
 
-import numpy as np
-
 #: Column count of the fixed-size lemma baseline.
 DEFAULT_BASELINE_SLOTS = 48
 
@@ -122,6 +120,21 @@ def _assignment(weights: list[list[float]]) -> list[tuple[int, int]]:
     return list(enumerate(col4row))
 
 
+def _rows(weights) -> list[list[float]]:
+    """A 2-D weight matrix, nested lists or an array, as lists of floats."""
+    shape = getattr(weights, "shape", None)
+    rows = None
+    if shape is None or len(shape) == 2:
+        try:
+            rows = [[float(x) for x in row] for row in weights]
+        except TypeError:  # a row that is a number, or holds sequences
+            pass
+    # A bare [] is 1-D, as numpy reads it; an array of shape (0, m) is not.
+    if rows is None or (not rows and shape is None) or len(set(map(len, rows))) > 1:
+        raise ValueError("weight matrix must be 2-D, with rows of one length")
+    return rows
+
+
 def best_match(weights) -> list[tuple[int, int]]:
     """Max-weight full matching between rows and columns.
 
@@ -129,16 +142,15 @@ def best_match(weights) -> list[tuple[int, int]]:
     solve, so among equally good matchings the one
     ``linear_sum_assignment(weights, maximize=True)`` returns.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2:
-        raise ValueError(f"weight matrix must be 2-D, got shape {w.shape}")
-    if w.size == 0:
+    rows = _rows(weights)
+    if not rows or not rows[0]:
         return []
-    if not np.isfinite(w).all():
+    values = [x for row in rows for x in row]
+    if not all(map(math.isfinite, values)):
         raise ValueError("weight matrix contains non-finite values")
-    if (w < 0).any():
+    if min(values) < 0:
         raise ValueError("weight matrix contains negative values")
-    return _assignment(w.tolist())
+    return _assignment(rows)
 
 
 @dataclass
@@ -192,22 +204,18 @@ def best_match_accuracy(
             hits = cells[i]
             for j in by_form.get(form, ()):
                 hits[j] += 1
-    attested = np.array(counts, dtype=float)
-    correct = np.array(cells, dtype=float)
-
     denominator = max(n_gold, n_pred)
-    accuracy = correct / attested[:, None]
+    accuracy = [[hits / count for hits in row] for row, count in zip(cells, counts)]
     macro_pairs = best_match(accuracy)
-    macro = math.fsum(accuracy[i, j] for i, j in macro_pairs) / denominator
-    micro_pairs = best_match(correct)
+    macro = math.fsum(accuracy[i][j] for i, j in macro_pairs) / denominator
+    micro_pairs = best_match(cells)
     micro = (
         n_gold / denominator
-        * math.fsum(correct[i, j] for i, j in micro_pairs)
-        / math.fsum(attested)
+        * math.fsum(cells[i][j] for i, j in micro_pairs)
+        / math.fsum(counts)
     )
     pairs = [
-        (gold_slots[i], pred_slots[j], float(accuracy[i, j]))
-        for i, j in macro_pairs
+        (gold_slots[i], pred_slots[j], accuracy[i][j]) for i, j in macro_pairs
     ]
     return BmaccResult(macro, micro, n_gold, n_pred, pairs)
 

@@ -16,11 +16,13 @@ Any failure is wrapped in StageError naming the stage that died.
 
 from __future__ import annotations
 
+import importlib
 import random
 from collections.abc import Callable, Hashable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 from .bootstrap import BootstrapResult, bootstrap
 from .config import Config
@@ -37,13 +39,37 @@ from .edit_tree import EditTree, apply
 from .evaluation import BmaccResult, best_match_accuracy, lemma_baseline
 from .inflection import RuleTable, SlotRules, extract_affix_rules, inflect
 from .lexicon import WeightedLexicon
-from .slot_clustering import (
-    MergeEvent,
-    SlotState,
-    group_surface_changes,
-    windowed_positions,
-)
-from .tagger import HmmModel, anchor_start, tag_corpus, train_hmm
+
+if TYPE_CHECKING:
+    from .slot_clustering import MergeEvent, SlotState
+    from .tagger import HmmModel
+
+#: Functions of the tagger and clustering stages, which load numpy: each is
+#: imported on first use, so the modes without a tagger never load them.
+#: They stay attributes of this module, where a caller can replace them.
+_LAZY = {
+    "anchor_start": "tagger",
+    "train_hmm": "tagger",
+    "tag_corpus": "tagger",
+    "group_surface_changes": "slot_clustering",
+    "windowed_positions": "slot_clustering",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind_lazy() -> None:
+    """Bind every name in ``_LAZY`` that is not bound yet, keeping bound ones."""
+    for name in _LAZY:
+        if name not in globals():
+            __getattr__(name)
+
 
 _TREE_MODES = ("pcs-i", "pcs-ii-a", "pcs-ii-b")
 _FULL_MODES = ("pcs-iii", "pcs-ii+iii")
@@ -190,6 +216,7 @@ def run_pipeline(
                 result.slot_count = len(boot.trees)
         else:
             with _stage("tag", timings):
+                _bind_lazy()
                 result.model = train_tagger(corpus, config)
                 result.tags = tag_corpus(result.model, corpus)
             with _stage("cluster", timings):
@@ -237,6 +264,7 @@ def train_tagger(corpus: Corpus, config: Config) -> HmmModel:
     corpus has fewer anchors, and ``config.hmm_iterations`` caps the
     passes from it.
     """
+    _bind_lazy()
     init = anchor_start(corpus, config.hmm_states, config.unk_threshold)
     return train_hmm(
         corpus,

@@ -118,6 +118,14 @@ class TestBestMatch:
     def test_validation(self):
         with pytest.raises(ValueError, match="2-D"):
             best_match(np.zeros(3))
+        with pytest.raises(ValueError, match="2-D"):
+            best_match([1.0, 2.0])
+        with pytest.raises(ValueError, match="2-D"):
+            best_match(np.zeros((2, 2, 1)))
+        with pytest.raises(ValueError, match="2-D"):
+            best_match([[[1.0], [2.0]]])
+        with pytest.raises(ValueError, match="2-D"):
+            best_match([[1.0, 2.0], [3.0]])
         with pytest.raises(ValueError, match="non-finite"):
             best_match([[float("nan"), 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
