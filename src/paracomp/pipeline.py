@@ -266,13 +266,7 @@ def train_tagger(corpus: Corpus, config: Config) -> HmmModel:
     """
     _bind_lazy()
     init = anchor_start(corpus, config.hmm_states, config.unk_threshold)
-    return train_hmm(
-        corpus,
-        states=init.states,
-        iterations=config.hmm_iterations,
-        unk_threshold=config.unk_threshold,
-        init=init,
-    )
+    return train_hmm(corpus, init, config.hmm_iterations)
 
 
 def _trees_to_predictions(

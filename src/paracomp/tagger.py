@@ -29,12 +29,12 @@ than ``sum(axis=...)`` at this size but sums in the linear algebra
 library's order: trained parameters, and the saved models, depend in
 their last digits on that library as well as on ``BATCH_TOKENS``.
 
-Rare word types are collapsed into a single UNK symbol.  EM starts from
-the parameters it is given, such as the deterministic ``anchor_start``,
-or else from Dirichlet draws of one seeded generator, so training is
-reproducible.  It stops once the log-likelihood is flat to
-``EM_TOLERANCE``; from the anchor start that takes a few passes on the
-synthetic languages.
+``anchor_start`` keeps as emission symbols the word types seen at least
+``unk_threshold`` times and collapses rarer ones into a single UNK
+symbol.  EM starts from the model it is given and keeps its states and
+symbols.  It stops once the log-likelihood is flat to ``EM_TOLERANCE``;
+from the anchor start that takes a few passes on the synthetic
+languages.
 """
 
 from __future__ import annotations
@@ -80,10 +80,16 @@ class HmmModel:
         return int(self.start.shape[0])
 
 
-def _symbols(corpus: Corpus, unk_threshold: int) -> list[str]:
-    """The emission symbols: the types seen at least ``unk_threshold`` times, sorted."""
-    counts = np.bincount(corpus.ids).tolist()
-    return sorted(t for t, c in zip(corpus.types, counts) if c >= unk_threshold)
+def _check_shapes(model: HmmModel, name: str) -> None:
+    """Raise ValueError unless the model's arrays fit its symbols and states."""
+    states = model.start.shape[0] if model.start.ndim == 1 else 0
+    got = (model.start.shape, model.transitions.shape, model.emissions.shape)
+    need = ((states,), (states, states), (states, len(model.symbols) + 1))
+    if states < 1 or got != need:
+        raise ValueError(
+            f"{name}: start, transitions and emissions have shapes {got}; "
+            f"need {need} with at least one state"
+        )
 
 
 def _codes(corpus: Corpus, symbols: list[str]) -> np.ndarray:
@@ -170,12 +176,15 @@ def anchor_start(
     P(state | symbol), so state k emits symbol w in proportion to
     coefficient k times count(w).  With no symbol frequent enough to be
     an anchor, the one state emits each symbol in proportion to its
-    count.  Start and transitions are uniform.  The symbols are
-    ``train_hmm``'s for ``unk_threshold``.
+    count.  Start and transitions are uniform.  The symbols are the types
+    seen at least ``unk_threshold`` times, sorted.
     """
+    if states < 1:
+        raise ValueError(f"states must be >= 1, got {states}")
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
-    symbols = _symbols(corpus, unk_threshold)
+    type_counts = np.bincount(corpus.ids).tolist()
+    symbols = sorted(t for t, c in zip(corpus.types, type_counts) if c >= unk_threshold)
     width = len(symbols) + 1
     codes = _codes(corpus, symbols)
     counts = np.bincount(codes, minlength=width)
@@ -230,24 +239,16 @@ def anchor_start(
     return HmmModel(uniform, np.tile(uniform, (states, 1)), emissions, symbols)
 
 
-def train_hmm(
-    corpus: Corpus,
-    states: int = 8,
-    iterations: int = 20,
-    seed: int = 0,
-    unk_threshold: int = 2,
-    init: HmmModel | None = None,
-) -> HmmModel:
-    """Fit an HMM to the corpus with Baum-Welch, from ``init`` if given.
+def train_hmm(corpus: Corpus, init: HmmModel, iterations: int = 20) -> HmmModel:
+    """Refine ``init`` on the corpus with Baum-Welch.
 
-    Without ``init``, EM starts from Dirichlet draws of a generator
-    seeded with ``seed``; ``init`` must have ``states`` states and the
-    symbols that ``unk_threshold`` keeps, as ``anchor_start`` builds it.
-    EM runs at most ``iterations`` passes, and stops at the first pass
-    whose log-likelihood moved by at most ``EM_TOLERANCE`` times the one
-    before (or times the token count, if larger), returning the
-    parameters that pass evaluated.  Only a pass needs two tokens, so
-    at 0 passes the start comes back on a shorter corpus too.
+    The model keeps the states and symbols of ``init``, such as
+    ``anchor_start`` fits them.  EM runs at most ``iterations`` passes,
+    and stops at the first pass whose log-likelihood moved by at most
+    ``EM_TOLERANCE`` times the one before (or times the token count, if
+    larger), returning the parameters that pass evaluated.  Only a pass
+    needs two tokens, so at 0 passes the start comes back on a shorter
+    corpus too.
 
     The recorded log-likelihood list holds one entry per pass, each
     evaluating the parameters *before* that pass's update, so the
@@ -257,25 +258,13 @@ def train_hmm(
     """
     if iterations > 0 and len(corpus) < 2:
         raise ValueError("corpus too small to train on (need at least 2 tokens)")
-    if states < 1:
-        raise ValueError(f"states must be >= 1, got {states}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    _check_shapes(init, "init")
 
-    symbols = _symbols(corpus, unk_threshold)
-    if init is not None and (init.states != states or init.symbols != symbols):
-        raise ValueError(
-            "initial model does not match: it needs the corpus's symbols "
-            f"and {states} states"
-        )
-    width = len(symbols) + 1
-    if init is None:
-        rng = np.random.default_rng(seed)
-        start = rng.dirichlet(np.ones(states))
-        transitions = np.vstack([rng.dirichlet(np.ones(states)) for _ in range(states)])
-        emissions = np.vstack([rng.dirichlet(np.ones(width)) for _ in range(states)])
-    else:
-        start, transitions, emissions = init.start, init.transitions, init.emissions
+    symbols = init.symbols
+    states, width = init.emissions.shape
+    start, transitions, emissions = init.start, init.transitions, init.emissions
     if iterations == 0:
         return HmmModel(start, transitions, emissions, symbols)
 
@@ -386,6 +375,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
     their last bits can round to a tie; the lookup compares them
     unrounded.)
     """
+    _check_shapes(model, "model")
     states = model.states
     with np.errstate(divide="ignore"):
         log_start = np.log(model.start)
@@ -495,14 +485,7 @@ def load_model(path: str) -> HmmModel:
         raise ValueError(f"{path}: not a saved model: {exc}") from exc
     if version != _SAVE_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
-    states = model.start.shape[0] if model.start.ndim == 1 else 0
-    got = (model.start.shape, model.transitions.shape, model.emissions.shape)
-    need = ((states,), (states, states), (states, len(model.symbols) + 1))
-    if states < 1 or got != need:
-        raise ValueError(
-            f"{path}: start, transitions and emissions have shapes {got}; "
-            f"need {need} with at least one state"
-        )
+    _check_shapes(model, path)
     return model
 
 

@@ -28,14 +28,31 @@ def _encode(corpus: Corpus, index: dict[str, int], unk: int) -> list[np.ndarray]
     return encoded
 
 
-def train_hmm(
-    corpus: Corpus,
-    states: int = 8,
-    iterations: int = 20,
-    seed: int = 0,
-    unk_threshold: int = 2,
+def dirichlet_start(
+    corpus: Corpus, states: int, seed: int = 0, unk_threshold: int = 2
 ) -> HmmModel:
-    """Fit an HMM to the corpus with Baum-Welch.
+    """A random start: Dirichlet draws of one generator seeded with ``seed``.
+
+    The symbols are the types seen at least ``unk_threshold`` times,
+    sorted, as ``paracomp.tagger.anchor_start`` keeps them.
+    """
+    if states < 1:
+        raise ValueError(f"states must be >= 1, got {states}")
+    counts: dict[str, int] = {}
+    for token in corpus.tokens:
+        counts[token] = counts.get(token, 0) + 1
+    symbols = sorted(t for t, c in counts.items() if c >= unk_threshold)
+    width = len(symbols) + 1
+
+    rng = np.random.default_rng(seed)
+    start = rng.dirichlet(np.ones(states))
+    transitions = np.vstack([rng.dirichlet(np.ones(states)) for _ in range(states)])
+    emissions = np.vstack([rng.dirichlet(np.ones(width)) for _ in range(states)])
+    return HmmModel(start, transitions, emissions, symbols)
+
+
+def train_hmm(corpus: Corpus, init: HmmModel, iterations: int = 20) -> HmmModel:
+    """Fit an HMM to the corpus with Baum-Welch, starting from ``init``.
 
     The recorded log-likelihood list holds one entry per iteration,
     each evaluating the parameters *before* that iteration's update, so
@@ -44,24 +61,15 @@ def train_hmm(
     """
     if len(corpus) < 2:
         raise ValueError("corpus too small to train on (need at least 2 tokens)")
-    if states < 1:
-        raise ValueError(f"states must be >= 1, got {states}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
 
-    counts: dict[str, int] = {}
-    for token in corpus.tokens:
-        counts[token] = counts.get(token, 0) + 1
-    symbols = sorted(t for t, c in counts.items() if c >= unk_threshold)
+    symbols = init.symbols
     index = {symbol: i for i, symbol in enumerate(symbols)}
     unk = len(symbols)
-    width = unk + 1
+    states, width = init.emissions.shape
     sentences = _encode(corpus, index, unk)
-
-    rng = np.random.default_rng(seed)
-    start = rng.dirichlet(np.ones(states))
-    transitions = np.vstack([rng.dirichlet(np.ones(states)) for _ in range(states)])
-    emissions = np.vstack([rng.dirichlet(np.ones(width)) for _ in range(states)])
+    start, transitions, emissions = init.start, init.transitions, init.emissions
 
     log_likelihoods: list[float] = []
     for _ in range(iterations):

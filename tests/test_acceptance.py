@@ -30,6 +30,7 @@ from paracomp.lexicon import WeightedLexicon
 from paracomp.pipeline import run_pipeline, train_tagger
 from paracomp.synth import generate_language
 from paracomp.tagger import EM_TOLERANCE, train_hmm
+from tagger_oracle import dirichlet_start
 
 
 @contextmanager
@@ -235,7 +236,7 @@ def test_acceptance_8_em_tagger_properties(big_lang, tmp_path):
         em = Config(mode="pcs-ii+iii", hmm_iterations=20)
         models = [
             (train_tagger(big_corpus, em), len(big_corpus)),
-            (train_hmm(small_corpus), len(small_corpus)),
+            (train_hmm(small_corpus, dirichlet_start(small_corpus, 8)), len(small_corpus)),
         ]
         for model, tokens in models:
             ll = model.log_likelihoods

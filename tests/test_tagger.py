@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagger_oracle as oracle
+from tagger_oracle import dirichlet_start
 from paracomp import tagger
 from paracomp.config import Config
 from paracomp.corpus_io import Corpus, load_corpus
 from paracomp.pipeline import train_tagger
+from paracomp.synth import generate_language
 from paracomp.tagger import (
     EM_TOLERANCE,
     HmmModel,
@@ -28,7 +30,7 @@ from paracomp.tagger import (
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 
-from workloads import WORKLOADS, build_language  # noqa: E402
+from workloads import WORKLOADS, build_language, repack  # noqa: E402
 
 
 def corpus_from_text(tmp_path, text):
@@ -52,12 +54,12 @@ def mini_corpus(tmp_path):
 def test_train_requires_two_tokens(tmp_path):
     corpus = corpus_from_text(tmp_path, "one\n")
     with pytest.raises(ValueError, match="at least 2 tokens"):
-        train_hmm(corpus)
+        train_hmm(corpus, dirichlet_start(corpus, 8))
 
 
 def test_degenerate_corpus_gets_exact_probabilities(tmp_path):
     corpus = corpus_from_text(tmp_path, "a a\n")
-    model = train_hmm(corpus, states=1, iterations=3, seed=0, unk_threshold=1)
+    model = train_hmm(corpus, dirichlet_start(corpus, 1, 0, 1), 3)
     assert model.symbols == ["a"]
     # No smoothing: the single state emits "a" with probability exactly 1,
     # and the unseen UNK symbol with probability exactly 0.
@@ -68,7 +70,7 @@ def test_degenerate_corpus_gets_exact_probabilities(tmp_path):
 
 
 def test_em_rows_are_stochastic(mini_corpus):
-    model = train_hmm(mini_corpus, states=4, iterations=10, seed=0)
+    model = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 4, 0), 10)
     assert abs(model.start.sum() - 1.0) <= 1e-9
     assert np.all(np.abs(model.transitions.sum(axis=1) - 1.0) <= 1e-9)
     assert np.all(np.abs(model.emissions.sum(axis=1) - 1.0) <= 1e-9)
@@ -77,7 +79,7 @@ def test_em_rows_are_stochastic(mini_corpus):
 
 
 def test_em_log_likelihood_non_decreasing(mini_corpus):
-    model = train_hmm(mini_corpus, states=4, iterations=15, seed=1)
+    model = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 4, 1), 15)
     ll = model.log_likelihoods
     # EM runs the full 15 passes or stops at the first flat one.
     floor = len(mini_corpus)
@@ -91,13 +93,13 @@ def test_em_log_likelihood_non_decreasing(mini_corpus):
 
 
 def test_training_is_deterministic(mini_corpus):
-    a = train_hmm(mini_corpus, states=3, iterations=5, seed=42)
-    b = train_hmm(mini_corpus, states=3, iterations=5, seed=42)
+    a = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 3, 42), 5)
+    b = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 3, 42), 5)
     assert np.array_equal(a.start, b.start)
     assert np.array_equal(a.transitions, b.transitions)
     assert np.array_equal(a.emissions, b.emissions)
     assert a.log_likelihoods == b.log_likelihoods
-    c = train_hmm(mini_corpus, states=3, iterations=5, seed=43)
+    c = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 3, 43), 5)
     assert not np.array_equal(a.emissions, c.emissions)
 
 
@@ -145,21 +147,37 @@ def test_anchor_start_needs_symbols_above_the_count_floor(tmp_path):
     assert tag_corpus(trained, corpus) == [0] * len(corpus)
 
 
-def test_train_rejects_a_start_for_other_symbols_or_states(mini_corpus):
-    start = anchor_start(mini_corpus, states=3)
-    with pytest.raises(ValueError, match="initial model"):
-        train_hmm(mini_corpus, states=2, init=start)
-    with pytest.raises(ValueError, match="initial model"):
-        train_hmm(mini_corpus, states=3, unk_threshold=50, init=start)
+@pytest.mark.parametrize("width", [2, 5], ids=["narrow", "wide"])
+def test_a_model_must_fit_its_symbols(mini_corpus, width):
+    # Three symbols need four emission columns, the last for UNK: with
+    # two, "owl" and UNK would be clipped onto the column of "dog", and
+    # a fifth column would never be read.
+    model = HmmModel(
+        start=np.full(2, 1 / 2),
+        transitions=np.full((2, 2), 1 / 2),
+        emissions=np.full((2, width), 1 / width),
+        symbols=["cat", "dog", "owl"],
+    )
+    for iterations in (0, 1):
+        with pytest.raises(ValueError, match="init: start, transitions and emissions"):
+            train_hmm(mini_corpus, model, iterations)
+    with pytest.raises(ValueError, match="model: start, transitions and emissions"):
+        tag_corpus(model, mini_corpus)
+
+
+@pytest.mark.parametrize("states", [0, -3])
+def test_anchor_start_needs_a_state(mini_corpus, states):
+    with pytest.raises(ValueError, match="states must be >= 1"):
+        anchor_start(mini_corpus, states=states)
 
 
 def test_em_stops_at_the_first_flat_pass(mini_corpus):
     start = anchor_start(mini_corpus, states=3)
-    unfitted = train_hmm(mini_corpus, states=3, iterations=0, init=start)
+    unfitted = train_hmm(mini_corpus, start, 0)
     assert unfitted.log_likelihoods == []
     for name in ("start", "transitions", "emissions"):
         assert np.array_equal(getattr(unfitted, name), getattr(start, name))
-    model = train_hmm(mini_corpus, states=3, iterations=50, init=start)
+    model = train_hmm(mini_corpus, start, 50)
     ll = model.log_likelihoods
     floor = len(mini_corpus)
     flat = [
@@ -170,22 +188,22 @@ def test_em_stops_at_the_first_flat_pass(mini_corpus):
     assert_stochastic(model)
     # The last log-likelihood evaluated the returned parameters: they are
     # the ones one pass fewer returns, and a pass from them scores it.
-    capped = train_hmm(mini_corpus, states=3, iterations=len(ll) - 1, init=start)
+    capped = train_hmm(mini_corpus, start, len(ll) - 1)
     assert capped.log_likelihoods == ll[:-1]
     for name in ("start", "transitions", "emissions"):
         assert np.array_equal(getattr(capped, name), getattr(model, name))
-    again = train_hmm(mini_corpus, states=3, iterations=1, init=model)
+    again = train_hmm(mini_corpus, model, 1)
     assert again.log_likelihoods == ll[-1:]
     # The cap holds from either start.
-    once = train_hmm(mini_corpus, states=3, iterations=1, init=start)
+    once = train_hmm(mini_corpus, start, 1)
     assert len(once.log_likelihoods) == 1
-    seeded = train_hmm(mini_corpus, states=4, iterations=3, seed=1)
+    seeded = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 4, 1), 3)
     assert len(seeded.log_likelihoods) <= 3
 
 
 def test_rare_words_collapse_to_unk(tmp_path):
     corpus = corpus_from_text(tmp_path, "a b a b a b\nrare a b\n")
-    model = train_hmm(corpus, states=2, iterations=5, seed=0, unk_threshold=2)
+    model = train_hmm(corpus, anchor_start(corpus, states=2, unk_threshold=2), 5)
     assert "rare" not in model.symbols
     assert model.symbols == ["a", "b"]
     tags = tag_corpus(model, corpus)
@@ -220,14 +238,14 @@ def test_decoding_survives_unseen_symbol_columns(tmp_path):
 
 
 def test_tags_align_with_sentences(mini_corpus):
-    model = train_hmm(mini_corpus, states=4, iterations=5, seed=0)
+    model = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 4, 0), 5)
     tags = tag_corpus(model, mini_corpus)
     assert len(tags) == len(mini_corpus)
     assert all(0 <= t < 4 for t in tags)
 
 
 def test_model_save_load_round_trip(mini_corpus, tmp_path):
-    model = train_hmm(mini_corpus, states=4, iterations=5, seed=0)
+    model = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 4, 0), 5)
     path = tmp_path / "model.npz"
     save_model(model, str(path))
     loaded = load_model(str(path))
@@ -240,7 +258,7 @@ def test_model_save_load_round_trip(mini_corpus, tmp_path):
 
 
 def test_load_rejects_unknown_version(mini_corpus, tmp_path):
-    model = train_hmm(mini_corpus, states=2, iterations=2, seed=0)
+    model = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 2, 0), 2)
     path = tmp_path / "model.npz"
     save_model(model, str(path))
     data = dict(np.load(str(path), allow_pickle=False))
@@ -259,7 +277,7 @@ def test_load_rejects_unknown_version(mini_corpus, tmp_path):
     ("start", lambda a: a[None, :]),
 ])
 def test_load_rejects_bad_array_shapes(mini_corpus, tmp_path, name, reshape):
-    model = train_hmm(mini_corpus, states=2, iterations=2, seed=0)
+    model = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 2, 0), 2)
     path = tmp_path / "model.npz"
     save_model(model, str(path))
     data = dict(np.load(str(path), allow_pickle=False))
@@ -311,7 +329,7 @@ def _truncated(path):
 ], ids=["missing-array", "empty-version", "text-version", "plain-npy",
         "empty-file", "text-file", "truncated"])
 def test_load_rejects_files_that_are_not_saved_models(mini_corpus, tmp_path, spoil):
-    model = train_hmm(mini_corpus, states=2, iterations=2, seed=0)
+    model = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 2, 0), 2)
     path = tmp_path / "model.npz"
     save_model(model, str(path))
     spoil(path)
@@ -356,9 +374,10 @@ def assert_models_agree(batched, loop):
         )
 
 
-def assert_matches_oracle(corpus, **kwargs):
-    batched = train_hmm(corpus, **kwargs)
-    loop = oracle.train_hmm(corpus, **kwargs)
+def assert_matches_oracle(corpus, states, iterations, seed, unk_threshold=2):
+    init = dirichlet_start(corpus, states, seed, unk_threshold)
+    batched = train_hmm(corpus, init, iterations)
+    loop = oracle.train_hmm(corpus, init, iterations)
     assert_models_agree(batched, loop)
     for model in (batched, loop):
         assert tag_corpus(model, corpus) == oracle.tag_corpus(model, corpus)
@@ -413,13 +432,13 @@ def test_batched_viterbi_matches_loop_on_ties_and_dead_columns(tmp_path):
 @pytest.mark.parametrize("budget", [1, 2, 7])
 def test_batches_split_across_chunks_agree(tmp_path, monkeypatch, budget):
     corpus = corpus_from_text(tmp_path, INTERLEAVED * 3)
-    whole = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
+    whole = train_hmm(corpus, dirichlet_start(corpus, 3, 4, 1), 6)
     whole_tags = tag_corpus(whole, corpus)
     assert len(tagger._batches(corpus, [])) == 1  # one band of 78 tokens
 
     monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
     assert len(tagger._batches(corpus, [])) > 1
-    split = train_hmm(corpus, states=3, iterations=6, seed=4, unk_threshold=1)
+    split = train_hmm(corpus, dirichlet_start(corpus, 3, 4, 1), 6)
     assert_models_agree(split, whole)
     assert tag_corpus(whole, corpus) == whole_tags
     assert tag_corpus(split, corpus) == whole_tags
@@ -469,6 +488,41 @@ def test_batched_training_matches_loop_on_ragged_bands(monkeypatch, budget, kwar
     if budget is not None:
         monkeypatch.setattr(tagger, "BATCH_TOKENS", budget)
     assert_matches_oracle(clause_corpus(), **kwargs)
+
+
+def noisy_corpus(seed=3, tokens=2500):
+    """A generated language with Zipfian fillers, in sentences of 1-4 clauses.
+
+    About one filler in three clauses, drawn from 300 types with
+    Zipfian weights and inserted at a random place, so rare types fall
+    to UNK and no sentence length dominates.
+    """
+    lang = generate_language(slots=4, lemmas=30, classes=2, tokens=tokens, seed=seed)
+    rng = random.Random(seed)
+    fillers = [f"f{rank:03d}" for rank in range(300)]
+    weights = [1 / rank for rank in range(1, 301)]
+    for sentence in lang.sentences:
+        if rng.random() < 1 / 3:
+            sentence.insert(rng.randint(0, len(sentence)), rng.choices(fillers, weights)[0])
+    sentences = repack(lang.sentences, 4, rng)
+    return Corpus([token for sentence in sentences for token in sentence],
+                  list(accumulate(map(len, sentences))))
+
+
+def test_em_from_the_anchor_fit_on_noisy_input_matches_loop():
+    corpus = noisy_corpus()
+    lengths = set(np.diff([0, *corpus.sentence_boundaries]).tolist())
+    assert len(lengths) >= 10
+    start = anchor_start(corpus)
+    assert start.states > 1
+    model = train_hmm(corpus, start, 20)
+    assert_models_agree(model, oracle.train_hmm(corpus, start, 20))
+    ll = model.log_likelihoods
+    assert len(ll) >= 2
+    for before, after in zip(ll, ll[1:]):
+        assert after >= before - 1e-6
+    assert_stochastic(model)
+    assert tag_corpus(model, corpus) == oracle.tag_corpus(model, corpus)
 
 
 def assert_bands_partition(corpus, budget):
@@ -654,9 +708,10 @@ def test_training_memory_is_bounded_by_the_band_budget(monkeypatch):
     # states would not fit, so working memory must not grow with the corpus.
     bound = 16 * budget * states * 8
     assert len(corpus) * states * 8 > bound
+    init = dirichlet_start(corpus, states, 0)
     tracemalloc.start()
     try:
-        train_hmm(corpus, states=states, iterations=2, seed=0)
+        train_hmm(corpus, init, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
