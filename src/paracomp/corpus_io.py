@@ -31,8 +31,8 @@ class Corpus:
     ``sentence_boundaries`` holds the exclusive end offset of each
     sentence, strictly increasing, last entry == len(tokens).
 
-    ``vocab``, ``types`` and ``ids`` are computed on first use and then
-    kept, so the tokens must not change after that.
+    ``vocab`` and ``ids`` are computed on first use and then kept, so
+    the tokens must not change after that.
     """
 
     tokens: list[str]
@@ -43,17 +43,12 @@ class Corpus:
 
     @cached_property
     def vocab(self) -> Vocabulary:
-        """The one type table: each distinct token -> its type id."""
+        """The one type table: each distinct token -> its type id, in id order."""
         return Vocabulary(zip(dict.fromkeys(self.tokens), itertools.count()))
 
     @cached_property
-    def types(self) -> list[str]:
-        """The distinct tokens, in order of first occurrence."""
-        return list(self.vocab)
-
-    @cached_property
     def ids(self) -> np.ndarray:
-        """Each token's index into ``types``."""
+        """Each token's type id in ``vocab``."""
         import numpy as np  # only the tagger and the clusterer read ids
 
         return np.fromiter(map(self.vocab.__getitem__, self.tokens), np.intp, len(self))

@@ -41,6 +41,8 @@ from .inflection import RuleTable, SlotRules, extract_affix_rules, inflect
 from .lexicon import WeightedLexicon
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .slot_clustering import MergeEvent, SlotState
     from .tagger import HmmModel
 
@@ -95,7 +97,7 @@ class PipelineResult:
     merge_log: list[MergeEvent] = field(default_factory=list)
     rules: RuleTable | None = None
     model: HmmModel | None = None
-    tags: list[int] | None = None
+    tags: np.ndarray | None = None
     lexicon: WeightedLexicon | None = None
     #: Every tree discovery built, with its weighted support.
     census: TreeCensus | None = None

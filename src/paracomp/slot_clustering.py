@@ -44,8 +44,9 @@ def _check_window(window: int) -> int:
     return window // 2
 
 
-def _windowed(corpus: Corpus, radius: int) -> np.ndarray:
-    """Positions with ``radius`` tokens of their own sentence on each side."""
+def windowed_positions(corpus: Corpus, window: int) -> np.ndarray:
+    """Positions whose full window of ``window`` tags fits inside one sentence."""
+    radius = _check_window(window)
     ends = np.array(corpus.sentence_boundaries, dtype=np.intp)
     lengths = np.diff(ends, prepend=0)
     offsets = np.arange(len(corpus)) - np.repeat(ends - lengths, lengths)
@@ -55,20 +56,18 @@ def _windowed(corpus: Corpus, radius: int) -> np.ndarray:
 
 def context_counts(
     corpus: Corpus,
-    tags: list[int],
+    tags: np.ndarray,
     radius: int,
     type_ids: np.ndarray,
-    positions: np.ndarray | None = None,
+    positions: np.ndarray,
 ) -> np.ndarray:
     """The ``type_ids`` x tag-window count table, for ascending type ids.
 
-    Row r counts the windows around ``type_ids[r]``, one column per
-    distinct window around any of them, in sorted order.  Only windows
-    that fit inside one sentence count: ``positions``, when given, must
-    be ``windowed_positions`` of this corpus and radius.
+    Row r counts the windows around ``type_ids[r]`` at ``positions``,
+    which must be ``windowed_positions(corpus, 2 * radius + 1)``, one
+    column per distinct window around any of them, in sorted order.
+    ``tags`` is ``tag_corpus``'s array; a list of ints works too.
     """
-    if positions is None:
-        positions = _windowed(corpus, radius)
     positions = positions[np.isin(corpus.ids[positions], type_ids)]
     row = np.searchsorted(type_ids, corpus.ids[positions])
     tags = np.asarray(tags, dtype=np.intp)
@@ -85,11 +84,6 @@ def context_counts(
     columns = len(keys)
     counts = np.bincount(row * columns + column, minlength=len(type_ids) * columns)
     return counts.reshape(len(type_ids), columns).astype(np.float64)
-
-
-def windowed_positions(corpus: Corpus, window: int) -> np.ndarray:
-    """Positions whose full window of ``window`` tags fits inside one sentence."""
-    return _windowed(corpus, _check_window(window))
 
 
 def _form_weights(
@@ -119,7 +113,7 @@ def _cosines(gram: np.ndarray) -> np.ndarray:
 def group_surface_changes(
     trees: list[EditTree],
     corpus: Corpus,
-    tags: list[int],
+    tags: np.ndarray,
     lexicon: WeightedLexicon,
     merge_threshold: float = 0.3,
     window: int = 3,
@@ -158,6 +152,7 @@ def group_surface_changes(
     forms = {form for slot in slots for form in slot.lemma_forms.values()}
     form_row = {form: r for r, form in enumerate(sorted(forms, key=corpus.vocab.get))}
     form_ids = np.array([corpus.vocab[form] for form in form_row], dtype=np.intp)
+    positions = windowed_positions(corpus, window) if positions is None else positions
     table = context_counts(corpus, tags, radius, form_ids, positions)
 
     def row(lemma_forms: dict[str, str]) -> np.ndarray:

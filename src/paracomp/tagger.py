@@ -81,7 +81,7 @@ class HmmModel:
 
 
 def _check_shapes(model: HmmModel, name: str) -> None:
-    """Raise ValueError unless the model's arrays fit its symbols and states."""
+    """Raise ValueError unless the arrays fit the states and sorted, distinct symbols."""
     states = model.start.shape[0] if model.start.ndim == 1 else 0
     got = (model.start.shape, model.transitions.shape, model.emissions.shape)
     need = ((states,), (states, states), (states, len(model.symbols) + 1))
@@ -90,13 +90,15 @@ def _check_shapes(model: HmmModel, name: str) -> None:
             f"{name}: start, transitions and emissions have shapes {got}; "
             f"need {need} with at least one state"
         )
+    if not all(a < b for a, b in zip(model.symbols, model.symbols[1:])):
+        raise ValueError(f"{name}: symbols must be sorted and distinct")
 
 
 def _codes(corpus: Corpus, symbols: list[str]) -> np.ndarray:
     """Each token's index into ``symbols``; ``len(symbols)``, UNK, if absent."""
     index = {symbol: i for i, symbol in enumerate(symbols)}
     unk = len(symbols)
-    return np.array([index.get(t, unk) for t in corpus.types], dtype=np.intp)[corpus.ids]
+    return np.array([index.get(t, unk) for t in corpus.vocab], dtype=np.intp)[corpus.ids]
 
 
 def _batches(
@@ -184,7 +186,7 @@ def anchor_start(
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     type_counts = np.bincount(corpus.ids).tolist()
-    symbols = sorted(t for t, c in zip(corpus.types, type_counts) if c >= unk_threshold)
+    symbols = sorted(t for t, c in zip(corpus.vocab, type_counts) if c >= unk_threshold)
     width = len(symbols) + 1
     codes = _codes(corpus, symbols)
     counts = np.bincount(codes, minlength=width)
@@ -360,8 +362,8 @@ def train_hmm(corpus: Corpus, init: HmmModel, iterations: int = 20) -> HmmModel:
     return HmmModel(start, transitions, emissions, symbols, log_likelihoods)
 
 
-def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
-    """Viterbi state indices, one per corpus token.
+def tag_corpus(model: HmmModel, corpus: Corpus) -> np.ndarray:
+    """Viterbi state indices, one per corpus token, as an ``np.intp`` array.
 
     Ties take the lower state index.  An emission column that is all
     zero (a symbol this model has never expected) is treated as
@@ -391,7 +393,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
         and np.isfinite(log_start[0] + log_trans[0, 0])
     ):
         best = np.argmax(log_emit, axis=0)  # first maximum: lower state
-        return best[_codes(corpus, model.symbols)].tolist()
+        return best[_codes(corpus, model.symbols)]
     emit_table = np.ascontiguousarray(log_emit.T)  # (W+1, K)
 
     bands = _batches(corpus, model.symbols)
@@ -446,7 +448,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> list[int]:
             np.take(back_buf[lo:], cell[:n], out=state[:n], mode="clip")
         path[:first] = state[:first]
         tags[positions] = path[: obs.shape[0]]
-    return tags.tolist()
+    return tags
 
 
 def save_model(model: HmmModel, path: str) -> None:
@@ -489,17 +491,21 @@ def load_model(path: str) -> HmmModel:
     return model
 
 
-def write_tagged(corpus: Corpus, tags: list[int], path: str) -> None:
-    """Dump token<TAB>state lines, one blank line between sentences."""
+def write_tagged(corpus: Corpus, tags: np.ndarray, path: str) -> None:
+    """Dump ``tag_corpus``'s tags as token<TAB>state lines, one blank line
+    between sentences; a list of the same ints writes the same bytes."""
     if len(tags) != len(corpus):
         raise ValueError(
             f"tag count {len(tags)} does not match corpus length {len(corpus)}"
         )
+    # One string per state, gathered per token: no numpy scalar is formatted.
+    states = int(np.max(tags, initial=-1)) + 1
+    names = np.array([str(k) for k in range(states)], dtype=object)[tags]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         start = 0
         for end in corpus.sentence_boundaries:
             if start:
                 handle.write("\n")
             for pos in range(start, end):
-                handle.write(f"{corpus.tokens[pos]}\t{tags[pos]}\n")
+                handle.write(f"{corpus.tokens[pos]}\t{names[pos]}\n")
             start = end

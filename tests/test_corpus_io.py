@@ -40,11 +40,12 @@ def test_corpus_ids_index_first_seen_types(tmp_path):
     corpus, _ = load_corpus(str(path))
     same = Corpus(list(corpus.tokens), list(corpus.sentence_boundaries))
     # Computed on first use only, and never part of equality.
-    assert "types" not in vars(corpus) and "ids" not in vars(corpus)
-    assert corpus.types == ["b", "ä", "c", "a"]
+    assert "ids" not in vars(corpus)
+    types = list(corpus.vocab)
+    assert types == ["b", "ä", "c", "a"]
     assert corpus.ids.dtype == np.intp
     assert corpus.ids.tolist() == [0, 1, 0, 2, 1, 3, 0]
-    assert [corpus.types[i] for i in corpus.ids] == corpus.tokens
+    assert [types[i] for i in corpus.ids] == corpus.tokens
     assert corpus == same and same == corpus
     assert corpus != Corpus(corpus.tokens, [3, 7])
     assert same.ids.tolist() == corpus.ids.tolist() and corpus == same
@@ -75,10 +76,10 @@ def test_vocab_is_the_one_type_table(tmp_path_factory, sentences):
     assert vocab is corpus.vocab
     assert "ids" not in vars(corpus)
     assert corpus.tokens == [token for s in sentences for token in s]
-    assert list(corpus.vocab) == corpus.types
-    for i, token in enumerate(corpus.types):
+    types = list(corpus.vocab)
+    for i, token in enumerate(types):
         assert corpus.vocab[token] == i
-    assert [corpus.types[i] for i in corpus.ids] == corpus.tokens
+    assert [types[i] for i in corpus.ids] == corpus.tokens
 
 
 def test_load_corpus_rejects_bad_utf8(tmp_path):

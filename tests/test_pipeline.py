@@ -707,7 +707,7 @@ class TestCli:
         )
         lines = out.read_text(encoding="utf-8").split("\n")
         tags = [int(line.split("\t")[1]) for line in lines if line]
-        assert tags == result.tags
+        assert tags == result.tags.tolist()
 
     def test_tag_command_rejects_a_model_without_the_unk_column(
         self, lang_paths, tmp_path, capsys

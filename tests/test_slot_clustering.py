@@ -55,15 +55,17 @@ def assert_counts_match_oracle(corpus, tags, radius, type_ids):
     """The table holds the dict oracle's counts of ``type_ids``, one column
     per distinct window around them, in sorted order; returns the counts."""
     type_ids = np.array(type_ids, dtype=np.intp)
-    table = context_counts(corpus, tags, radius, type_ids)
+    positions = windowed_positions(corpus, 2 * radius + 1)
+    table = context_counts(corpus, tags, radius, type_ids, positions)
     want = {
         token: counts
         for token, counts in oracle.tuple_context_counts(corpus, tags, radius).items()
         if corpus.vocab[token] in type_ids
     }
     columns = sorted({window for counts in want.values() for window in counts})
+    types = list(corpus.vocab)
     expected = [
-        [want.get(corpus.types[t], {}).get(window, 0) for window in columns]
+        [want.get(types[t], {}).get(window, 0) for window in columns]
         for t in type_ids
     ]
     assert table.dtype == np.float64
@@ -99,9 +101,9 @@ def tagged_corpora(draw):
         st.integers(0, states - 1), min_size=len(corpus), max_size=len(corpus)
     ))
     keep = draw(st.lists(
-        st.booleans(), min_size=len(corpus.types), max_size=len(corpus.types)
+        st.booleans(), min_size=len(corpus.vocab), max_size=len(corpus.vocab)
     ))
-    return corpus, tags, [t for t in range(len(corpus.types)) if keep[t]]
+    return corpus, tags, [t for t in range(len(corpus.vocab)) if keep[t]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,14 +354,19 @@ def test_grouping_matches_dense_oracle(case, window, threshold):
 
 def test_windowed_positions_are_the_ones_context_counts_uses():
     corpus = corpus_of(["a"], ["a", "b", "c"], ["a", "b", "c", "d", "e"])
-    tags = list(range(len(corpus)))
-    every_type = np.arange(len(corpus.types))
+    tags = np.arange(len(corpus))  # distinct tags, so every window is distinct
+    every_type = np.arange(len(corpus.vocab))
     for window in (1, 3, 5, 7):
         positions = windowed_positions(corpus, window)
-        table = context_counts(corpus, tags, window // 2, every_type)
-        assert table.sum() == len(positions)
-        given = context_counts(corpus, tags, window // 2, every_type, positions)
-        assert np.array_equal(given, table)
+        table = context_counts(corpus, tags, window // 2, every_type, positions)
+        # One column per position, and each type's row counts its positions.
+        assert table.shape[1] == len(positions) == table.sum()
+        per_type = np.bincount(corpus.ids[positions], minlength=len(every_type))
+        assert table.sum(axis=1).tolist() == per_type.tolist()
+        listed = context_counts(
+            corpus, tags.tolist(), window // 2, every_type, positions
+        )
+        assert np.array_equal(listed, table)
     assert windowed_positions(corpus, 3).tolist() == [2, 5, 6, 7]
     assert [len(windowed_positions(corpus, w)) for w in (1, 3, 5, 7)] == [9, 4, 1, 0]
     with pytest.raises(ValueError, match="odd"):

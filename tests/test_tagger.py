@@ -144,7 +144,7 @@ def test_anchor_start_needs_symbols_above_the_count_floor(tmp_path):
     for name in ("start", "transitions", "emissions"):
         assert np.array_equal(getattr(trained, name), getattr(start, name))
     assert trained.log_likelihoods == []
-    assert tag_corpus(trained, corpus) == [0] * len(corpus)
+    assert tag_corpus(trained, corpus).tolist() == [0] * len(corpus)
 
 
 @pytest.mark.parametrize("width", [2, 5], ids=["narrow", "wide"])
@@ -163,6 +163,41 @@ def test_a_model_must_fit_its_symbols(mini_corpus, width):
             train_hmm(mini_corpus, model, iterations)
     with pytest.raises(ValueError, match="model: start, transitions and emissions"):
         tag_corpus(model, mini_corpus)
+
+
+@pytest.mark.parametrize("symbols", [["a", "a"], ["b", "a"]], ids=["repeated", "unsorted"])
+def test_a_model_needs_sorted_distinct_symbols(tmp_path, symbols):
+    # With "a" twice, every "a" would map to the later column and the
+    # earlier one would never be read.
+    corpus = corpus_from_text(tmp_path, "a b a\nb a\n")
+    model = HmmModel(
+        start=np.full(2, 1 / 2),
+        transitions=np.full((2, 2), 1 / 2),
+        emissions=np.full((2, 3), 1 / 3),
+        symbols=symbols,
+    )
+    for iterations in (0, 1):
+        with pytest.raises(ValueError, match="init: symbols must be sorted and distinct"):
+            train_hmm(corpus, model, iterations)
+    with pytest.raises(ValueError, match="model: symbols must be sorted and distinct"):
+        tag_corpus(model, corpus)
+    path = tmp_path / "model.npz"
+    save_model(model, str(path))
+    with pytest.raises(ValueError, match=r"model\.npz: symbols must be sorted"):
+        load_model(str(path))
+
+
+def test_tag_corpus_returns_one_intp_per_token(mini_corpus):
+    uniform = anchor_start(mini_corpus, states=3)
+    trained = train_hmm(mini_corpus, uniform, 2)
+    assert not np.all(trained.transitions == trained.transitions[0, 0])
+    # The uniform chain is a lookup; the trained one runs the band Viterbi.
+    for model, banded in ((uniform, False), (trained, True)):
+        with mock.patch.object(tagger, "_batches", wraps=tagger._batches) as bands:
+            tags = tag_corpus(model, mini_corpus)
+        assert bands.called == banded
+        assert isinstance(tags, np.ndarray)
+        assert tags.dtype == np.intp and tags.shape == (len(mini_corpus),)
 
 
 @pytest.mark.parametrize("states", [0, -3])
@@ -219,7 +254,7 @@ def test_viterbi_ties_take_lowest_state(tmp_path):
         emissions=np.full((states, 3), 1 / 3),
         symbols=["a", "b"],
     )
-    assert tag_corpus(model, corpus) == [0, 0, 0]
+    assert tag_corpus(model, corpus).tolist() == [0, 0, 0]
     assert oracle.tag_corpus(model, corpus) == [0, 0, 0]
 
 
@@ -232,7 +267,7 @@ def test_decoding_survives_unseen_symbol_columns(tmp_path):
         emissions=np.array([[0.7, 0.0, 0.3], [0.6, 0.0, 0.4]]),
         symbols=["a", "b"],
     )
-    tags = tag_corpus(model, corpus)
+    tags = tag_corpus(model, corpus).tolist()
     assert tags == [0, 0, 0]
     assert oracle.tag_corpus(model, corpus) == tags
 
@@ -254,7 +289,9 @@ def test_model_save_load_round_trip(mini_corpus, tmp_path):
     assert np.array_equal(loaded.emissions, model.emissions)
     assert loaded.symbols == model.symbols
     assert loaded.log_likelihoods == model.log_likelihoods
-    assert tag_corpus(loaded, mini_corpus) == tag_corpus(model, mini_corpus)
+    assert np.array_equal(
+        tag_corpus(loaded, mini_corpus), tag_corpus(model, mini_corpus)
+    )
 
 
 def test_load_rejects_unknown_version(mini_corpus, tmp_path):
@@ -346,6 +383,18 @@ def test_write_tagged_format(tmp_path):
         write_tagged(corpus, [1, 0], str(out))
 
 
+def test_write_tagged_writes_the_same_bytes_for_an_array_or_a_list(
+    mini_corpus, tmp_path
+):
+    tags = tag_corpus(anchor_start(mini_corpus, states=3), mini_corpus)
+    assert tags.max() > 0
+    array, listed = tmp_path / "array.tsv", tmp_path / "list.tsv"
+    for given in (tags, tags * 10):  # one- and two-digit states
+        write_tagged(mini_corpus, given, str(array))
+        write_tagged(mini_corpus, given.tolist(), str(listed))
+        assert array.read_bytes() == listed.read_bytes()
+
+
 # The batched tagger against the per-sentence loop in tagger_oracle.  The
 # batched sums run in another order, so the log-likelihoods and
 # parameters agree to rounding only; Viterbi uses the same arithmetic per
@@ -380,7 +429,7 @@ def assert_matches_oracle(corpus, states, iterations, seed, unk_threshold=2):
     loop = oracle.train_hmm(corpus, init, iterations)
     assert_models_agree(batched, loop)
     for model in (batched, loop):
-        assert tag_corpus(model, corpus) == oracle.tag_corpus(model, corpus)
+        assert tag_corpus(model, corpus).tolist() == oracle.tag_corpus(model, corpus)
 
 
 @pytest.mark.parametrize(
@@ -425,8 +474,8 @@ def test_batched_viterbi_matches_loop_on_ties_and_dead_columns(tmp_path):
         emissions=np.array([[0.7, 0.0, 0.3], [0.6, 0.0, 0.4]]),
         symbols=["a", "b"],
     )
-    assert tag_corpus(tied, corpus) == oracle.tag_corpus(tied, corpus) == [0] * 13
-    assert tag_corpus(dead, corpus) == oracle.tag_corpus(dead, corpus)
+    assert tag_corpus(tied, corpus).tolist() == oracle.tag_corpus(tied, corpus) == [0] * 13
+    assert tag_corpus(dead, corpus).tolist() == oracle.tag_corpus(dead, corpus)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 7])
@@ -440,8 +489,8 @@ def test_batches_split_across_chunks_agree(tmp_path, monkeypatch, budget):
     assert len(tagger._batches(corpus, [])) > 1
     split = train_hmm(corpus, dirichlet_start(corpus, 3, 4, 1), 6)
     assert_models_agree(split, whole)
-    assert tag_corpus(whole, corpus) == whole_tags
-    assert tag_corpus(split, corpus) == whole_tags
+    assert np.array_equal(tag_corpus(whole, corpus), whole_tags)
+    assert np.array_equal(tag_corpus(split, corpus), whole_tags)
 
 
 def clause_corpus(seed=7, tokens=2000):
@@ -522,7 +571,7 @@ def test_em_from_the_anchor_fit_on_noisy_input_matches_loop():
     for before, after in zip(ll, ll[1:]):
         assert after >= before - 1e-6
     assert_stochastic(model)
-    assert tag_corpus(model, corpus) == oracle.tag_corpus(model, corpus)
+    assert tag_corpus(model, corpus).tolist() == oracle.tag_corpus(model, corpus)
 
 
 def assert_bands_partition(corpus, budget):
@@ -606,7 +655,7 @@ def test_sentences_ending_early_in_a_band_match_loop(tmp_path, monkeypatch):
         emissions=np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]]),
         symbols=["a", "b"],
     )
-    tags = tag_corpus(sticky, corpus)
+    tags = tag_corpus(sticky, corpus).tolist()
     assert tags == oracle.tag_corpus(sticky, corpus)
     assert tags[:8] == [1, 1, 0, 0, 0, 0, 0, 1]
     for kwargs in (
@@ -684,9 +733,9 @@ def test_viterbi_on_a_uniform_chain_is_a_lookup(chain):
     if model.start[0] > 0 and model.transitions[0, 0] > 0:
         # The lookup never bands the corpus.
         with mock.patch.object(tagger, "_batches", side_effect=AssertionError):
-            assert tag_corpus(model, corpus) == expected
+            assert tag_corpus(model, corpus).tolist() == expected
     else:
-        assert tag_corpus(model, corpus) == expected
+        assert tag_corpus(model, corpus).tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -696,7 +745,7 @@ def test_anchor_fit_of_each_workload_tags_as_the_oracle(name, seed):
     corpus = Corpus([token for sentence in sentences for token in sentence],
                     list(accumulate(map(len, sentences))))
     model = anchor_start(corpus)
-    assert tag_corpus(model, corpus) == oracle.tag_corpus(model, corpus)
+    assert tag_corpus(model, corpus).tolist() == oracle.tag_corpus(model, corpus)
 
 
 def test_training_memory_is_bounded_by_the_band_budget(monkeypatch):
@@ -742,4 +791,4 @@ def test_viterbi_memory_is_bounded_by_the_band_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < bound
-    assert tags == oracle.tag_corpus(model, corpus)
+    assert tags.tolist() == oracle.tag_corpus(model, corpus)
