@@ -135,8 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gold", required=True)
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--report", help="write the report here")
-    _add_config_flags(ev)
-    ev.set_defaults(func=_cmd_run, mode="eval", corpus=None, lemmas=None, out=None)
+    # No config field changes a score, so eval has no config flags.
+    ev.set_defaults(
+        func=_cmd_run, mode="eval", corpus=None, lemmas=None, out=None, config=None
+    )
 
     synth = sub.add_parser("synth", help="generate a synthetic language")
     synth.add_argument("--slots", type=int, default=4)

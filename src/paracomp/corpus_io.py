@@ -8,6 +8,7 @@ pre-tokenized sentence per line, tokens separated by whitespace.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
@@ -188,10 +189,10 @@ def _prediction_cell(lemma: str, form: str, slot: str) -> tuple[str, str, int]:
     # An empty form is a legal prediction; an empty lemma is not.
     if not lemma:
         raise ValueError("empty lemma")
-    try:
-        return lemma.lower(), form.lower(), int(slot)
-    except ValueError:
-        raise ValueError(f"slot id {slot!r} is not an integer") from None
+    # int() alone would also read "1_0" as 10 and non-ASCII digits.
+    if not re.fullmatch(r"[+-]?[0-9]+", slot.strip()):
+        raise ValueError(f"slot id {slot!r} is not an integer")
+    return lemma.lower(), form.lower(), int(slot)
 
 
 def read_predictions(path: str) -> dict[str, dict[int, str]]:

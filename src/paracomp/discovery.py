@@ -102,10 +102,12 @@ def find_candidates(
 class TreeCensus:
     """Bookkeeping from tree extraction.
 
-    ``weights`` maps every constructed tree to its weighted support.
+    ``weights`` maps every constructed tree to its weighted support;
+    ``cutoff`` is the support a tree needed to be kept.
     """
 
     weights: dict[EditTree, float]
+    cutoff: float = 0.0
 
 
 def retain_frequent_trees(
@@ -121,8 +123,8 @@ def retain_frequent_trees(
     order.  Given a ``census``, the pairs in ``candidates`` are added to
     it in place, so they must be pairs it has not counted yet, of
     lemmas after the ones it has.  The cutoff is always taken from the
-    whole ``lexicon``.  Kept trees are ordered by descending support,
-    then by serialized form.
+    whole ``lexicon``, and is stored as ``census.cutoff``.  Kept trees
+    are ordered by descending support, then by serialized form.
     """
     if census is None:
         census = TreeCensus({})
@@ -131,7 +133,7 @@ def retain_frequent_trees(
         for word in candidates.get(entry.lemma, ()):
             tree = construct(entry.lemma, word)
             weights[tree] = weights.get(tree, 0.0) + entry.weight
-    cutoff = min_tree_support(lexicon.effective_size(), support_factor)
+    census.cutoff = cutoff = min_tree_support(lexicon.effective_size(), support_factor)
     kept = [tree for tree, weight in weights.items() if weight >= cutoff]
     kept.sort(key=lambda tree: (-weights[tree], to_sexpr(tree)))
     return kept, census

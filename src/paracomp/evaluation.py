@@ -220,10 +220,9 @@ def best_match_accuracy(
     return BmaccResult(macro, micro, n_gold, n_pred, pairs)
 
 
-def lemma_baseline(
-    lemmas, slot_count: int = DEFAULT_BASELINE_SLOTS
-) -> dict[str, dict[int, str]]:
-    """Predict the lemma itself in every one of ``slot_count`` slots."""
+def lemma_baseline(lemmas, slot_count: int) -> dict[str, dict[int, str]]:
+    """Predict the lemma itself in every one of ``slot_count`` slots;
+    a run passes ``Config.baseline_slots`` or the gold table's slot count."""
     if slot_count < 1:
         raise ValueError(f"slot count must be >= 1, got {slot_count}")
     return {

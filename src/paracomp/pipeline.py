@@ -34,7 +34,7 @@ from .corpus_io import (
     read_predictions,
     write_predictions,
 )
-from .discovery import TreeCensus, min_tree_support
+from .discovery import TreeCensus
 from .edit_tree import EditTree, apply
 from .evaluation import BmaccResult, best_match_accuracy, lemma_baseline
 from .inflection import RuleTable, SlotRules, extract_affix_rules, inflect
@@ -263,8 +263,9 @@ def train_tagger(corpus: Corpus, config: Config) -> HmmModel:
     """The tagger as the pipeline trains it: the anchor fit, then Baum-Welch.
 
     The fit has at most ``config.hmm_states`` states, fewer where the
-    corpus has fewer anchors, and ``config.hmm_iterations`` caps the
-    passes from it.
+    corpus has fewer anchors, over the types seen at least
+    ``config.unk_threshold`` times; ``config.hmm_iterations`` caps the
+    passes from it.  ``Config`` holds the defaults of both stages.
     """
     _bind_lazy()
     init = anchor_start(corpus, config.hmm_states, config.unk_threshold)
@@ -323,12 +324,10 @@ def build_report(result: PipelineResult, config: Config) -> str:
             f"{len(result.lexicon) - seed} discovered"
         )
     if result.trees:
-        cutoff = min_tree_support(
-            result.lexicon.effective_size(), config.tree_support_factor
-        )
         lines.append(
             f"retained trees: {len(result.trees)} of "
-            f"{len(result.census.weights)} built, support cutoff {cutoff:.2f}"
+            f"{len(result.census.weights)} built, "
+            f"support cutoff {result.census.cutoff:.2f}"
         )
     lines.append(f"predicted slots: {result.slot_count}")
     if result.windowed_tokens is not None:

@@ -115,8 +115,8 @@ def group_surface_changes(
     corpus: Corpus,
     tags: np.ndarray,
     lexicon: WeightedLexicon,
-    merge_threshold: float = 0.3,
-    window: int = 3,
+    merge_threshold: float,
+    window: int,
     positions: np.ndarray | None = None,
 ) -> tuple[list[SlotState], list[MergeEvent]]:
     """Greedy slot merging.

@@ -144,6 +144,15 @@ def _batches(
     return batches
 
 
+def _normalise(counts: np.ndarray, axis: int) -> np.ndarray:
+    """Scale each line of ``counts`` along ``axis`` to sum to 1; a line of
+    zeros becomes uniform, ``1 / counts.shape[axis]`` in every cell."""
+    total = counts.sum(axis=axis, keepdims=True)
+    return np.where(
+        total > 0, counts / np.where(total > 0, total, 1.0), 1.0 / counts.shape[axis]
+    )
+
+
 def _steps(counts: list[int]) -> list[tuple[int, int, int, int]]:
     """Row bounds ``(prev, mid, lo, hi)`` of every block after the first.
 
@@ -160,9 +169,7 @@ def _steps(counts: list[int]) -> list[tuple[int, int, int, int]]:
     return bounds
 
 
-def anchor_start(
-    corpus: Corpus, states: int = 8, unk_threshold: int = 2
-) -> HmmModel:
+def anchor_start(corpus: Corpus, states: int, unk_threshold: int) -> HmmModel:
     """A deterministic HMM of at most ``states`` states, fit from anchor words.
 
     An anchor is a symbol that one state alone emits (Arora et al.,
@@ -193,7 +200,7 @@ def anchor_start(
     candidates = np.flatnonzero(counts >= max(_ANCHOR_MIN_COUNT, np.median(counts)))
     if candidates.shape[0] == 0:
         return HmmModel(
-            np.ones(1), np.ones((1, 1)), counts[None, :] / counts.sum(), symbols
+            np.ones(1), np.ones((1, 1)), _normalise(counts[None, :], 1), symbols
         )
 
     top = np.argsort(-counts, kind="stable")[:_ANCHOR_CONTEXTS]
@@ -233,15 +240,12 @@ def anchor_start(
     solved = np.linalg.solve(anchors @ anchors.T, anchors)
     weights = np.einsum("kd,wd->kw", solved, rows)  # (K, W+1)
     np.maximum(weights, 0.0, out=weights)
-    total = weights.sum(axis=0)
-    weights = np.where(total > 0, weights / np.where(total > 0, total, 1.0), 1.0 / states)
-    emissions = weights * counts
-    emissions /= emissions.sum(axis=1, keepdims=True)
+    emissions = _normalise(_normalise(weights, 0) * counts, 1)
     uniform = np.full(states, 1.0 / states)
     return HmmModel(uniform, np.tile(uniform, (states, 1)), emissions, symbols)
 
 
-def train_hmm(corpus: Corpus, init: HmmModel, iterations: int = 20) -> HmmModel:
+def train_hmm(corpus: Corpus, init: HmmModel, iterations: int) -> HmmModel:
     """Refine ``init`` on the corpus with Baum-Welch.
 
     The model keeps the states and symbols of ``init``, such as
@@ -345,19 +349,10 @@ def train_hmm(corpus: Corpus, init: HmmModel, iterations: int = 20) -> HmmModel:
         if flat:
             break
 
-        start = start_acc / start_acc.sum()
-        trans_rows = trans_acc.sum(axis=1, keepdims=True)
-        emit_acc = emit_acc_t.T
-        emit_rows = emit_acc.sum(axis=1, keepdims=True)
         # A state the data never visits gets a uniform row rather than 0/0.
-        transitions = np.where(
-            trans_rows > 0, trans_acc / np.where(trans_rows > 0, trans_rows, 1.0),
-            1.0 / states,
-        )
-        emissions = np.where(
-            emit_rows > 0, emit_acc / np.where(emit_rows > 0, emit_rows, 1.0),
-            1.0 / width,
-        )
+        start = _normalise(start_acc, 0)
+        transitions = _normalise(trans_acc, 1)
+        emissions = _normalise(emit_acc_t.T, 1)
 
     return HmmModel(start, transitions, emissions, symbols, log_likelihoods)
 

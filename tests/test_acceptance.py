@@ -181,7 +181,7 @@ def test_acceptance_4_metric_sanity():
 def test_acceptance_5_lemma_baseline_width():
     with criterion(5, "lemma baseline width"):
         assert Config().baseline_slots == 48
-        table = lemma_baseline(["walk", "talk"])
+        table = lemma_baseline(["walk", "talk"], Config().baseline_slots)
         assert all(len(row) == 48 for row in table.values())
         merged = merge_syncretic_slots(table)
         assert all(len(row) == 1 for row in merged.values())
@@ -236,7 +236,12 @@ def test_acceptance_8_em_tagger_properties(big_lang, tmp_path):
         em = Config(mode="pcs-ii+iii", hmm_iterations=20)
         models = [
             (train_tagger(big_corpus, em), len(big_corpus)),
-            (train_hmm(small_corpus, dirichlet_start(small_corpus, 8)), len(small_corpus)),
+            (
+                train_hmm(
+                    small_corpus, dirichlet_start(small_corpus, 8), em.hmm_iterations
+                ),
+                len(small_corpus),
+            ),
         ]
         for model, tokens in models:
             ll = model.log_likelihoods

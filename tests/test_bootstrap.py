@@ -13,6 +13,7 @@ from paracomp.bootstrap import (
 )
 from paracomp.config import Config
 from paracomp.corpus_io import Corpus, Vocabulary
+from paracomp.discovery import min_tree_support
 from paracomp.edit_tree import IDENTITY, Match, Replace, apply, construct, to_sexpr
 from paracomp.lexicon import LexiconEntry, WeightedLexicon
 from paracomp.synth import generate_language
@@ -146,6 +147,7 @@ def test_bootstrap_two_rounds_equal_one_plus_one():
     assert two.lexicon.entries == again.lexicon.entries
     assert two.trees == again.trees
     assert census_bits(two.census) == census_bits(again.census)
+    assert two.census.cutoff == again.census.cutoff
 
 
 def test_bootstrap_rejects_negative_rounds():
@@ -331,22 +333,50 @@ def _sparse_seed_language(seed):
     return vocab, WeightedLexicon.from_lemmas(lang.lexicon[::4])
 
 
-@pytest.mark.parametrize("seed", [7, 29])
-def test_bootstrap_matches_oracle_on_sparse_seed_language(seed):
-    vocab, lexicon = _sparse_seed_language(seed)
+def _default_settings():
+    """Every bootstrap setting but ``rounds``, as ``Config()`` sets it."""
     config = Config()
-    settings_ = dict(
+    return dict(
         candidate_ratio=config.candidate_ratio,
         tree_support_factor=config.tree_support_factor,
         lemma_evidence_factor=config.lemma_evidence_factor,
         lemma_decay=config.lemma_decay,
     )
+
+
+@pytest.mark.parametrize("seed", [7, 29])
+def test_bootstrap_matches_oracle_on_sparse_seed_language(seed):
+    vocab, lexicon = _sparse_seed_language(seed)
+    settings_ = _default_settings()
     grown = [
         len(matches_oracle(vocab, lexicon, rounds, settings_).lexicon)
         for rounds in range(4)
     ]
     # Round 1 finds every other lemma of the language.
     assert grown[0] < grown[1] == grown[3]
+
+
+def test_census_cutoff_is_the_cutoff_of_the_returned_lexicon():
+    # The run report prints census.cutoff, so it must be the cutoff for
+    # the lexicon bootstrap returns, which round 1 grows on this language.
+    vocab, lexicon = _sparse_seed_language(7)
+    settings_ = _default_settings()
+    factor = settings_["tree_support_factor"]
+    results = [
+        bootstrap(vocab, lexicon, rounds=rounds, **settings_) for rounds in range(3)
+    ]
+    for result in results:
+        assert result.census.cutoff == min_tree_support(
+            result.lexicon.effective_size(), factor
+        )
+    assert len(results[0].lexicon) < len(results[1].lexicon)
+    assert results[0].census.cutoff < results[1].census.cutoff
+    # One round fed back in equals two rounds at once, cutoff included.
+    again = bootstrap(vocab, results[1].lexicon, rounds=1, **settings_)
+    assert again.lexicon.entries == results[2].lexicon.entries
+    assert again.trees == results[2].trees
+    assert census_bits(again.census) == census_bits(results[2].census)
+    assert again.census.cutoff == results[2].census.cutoff
 
 
 def _chain_words():

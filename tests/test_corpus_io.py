@@ -209,10 +209,22 @@ def test_predictions_round_trip_and_stable_bytes(tmp_path):
 
 
 def test_read_predictions_bad_slot_id(tmp_path):
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit one as 1.
     path = tmp_path / "pred.tsv"
-    path.write_text("walk\twalked\tfirst\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="not an integer"):
-        read_predictions(str(path))
+    for slot in ("first", "1_0", "\u0661"):
+        path.write_text(f"walk\twalked\t{slot}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="not an integer"):
+            read_predictions(str(path))
+
+
+def test_read_predictions_reads_every_written_id(tmp_path):
+    ids = [-12, 0, 7, 10, 10**20]
+    path = tmp_path / "pred.tsv"
+    write_predictions({"walk": {slot: "walked" for slot in ids}}, str(path))
+    assert read_predictions(str(path)) == {"walk": {slot: "walked" for slot in ids}}
+    # Spaces around an id are allowed.
+    path.write_text("walk\twalked\t +3 \n", encoding="utf-8")
+    assert read_predictions(str(path)) == {"walk": {3: "walked"}}
 
 
 def test_read_predictions_rejects_empty_lemma(tmp_path):

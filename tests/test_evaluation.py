@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from paracomp import evaluation
+from paracomp.config import Config
 from paracomp.evaluation import (
     DEFAULT_BASELINE_SLOTS,
     _assignment,
@@ -342,7 +343,7 @@ class TestBestMatchAccuracy:
 
 class TestLemmaBaseline:
     def test_default_width(self):
-        table = lemma_baseline(["walk", "talk"])
+        table = lemma_baseline(["walk", "talk"], Config().baseline_slots)
         assert set(table) == {"walk", "talk"}
         assert len(table["walk"]) == DEFAULT_BASELINE_SLOTS == 48
         assert set(table["walk"].values()) == {"walk"}

@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import filecmp
+import importlib
+import inspect
 import os
 import re
 import tempfile
@@ -160,6 +162,27 @@ class TestConfig:
             for field in dataclasses.fields(Config) if field.name != "mode"
         }
         assert rows == defaults
+
+    def test_readme_library_signatures_match_the_code(self):
+        # Every name(...) quoted under "Library use" is the signature of
+        # the object it names, annotations and whitespace aside.
+        with open(README, encoding="utf-8") as handle:
+            text = handle.read()
+        section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        quoted = re.findall(r"`([\w.]+)(\([^`]*\))`", section)
+        assert quoted
+        for name, documented in quoted:
+            module, _, attr = name.rpartition(".")
+            owner = importlib.import_module(f"paracomp.{module}".rstrip("."))
+            signature = inspect.signature(getattr(owner, attr))
+            bare = signature.replace(
+                parameters=[
+                    p.replace(annotation=p.empty)
+                    for p in signature.parameters.values()
+                ],
+                return_annotation=signature.empty,
+            )
+            assert re.sub(r"\s", "", documented) == re.sub(r"\s", "", str(bare)), name
 
 
 def test_readme_names_every_oracle_file():
@@ -653,6 +676,17 @@ class TestCli:
         assert "mode: eval" in stdout
         assert "bmacc macro: 40.00 (5)" in stdout
         assert report.read_text(encoding="utf-8") == stdout
+
+    @pytest.mark.parametrize(
+        "extra", [["--hmm-states", "3"], ["--config", "x.cfg"]]
+    )
+    def test_eval_takes_no_config_flags(self, extra, capsys):
+        # No config field changes how predictions score; run --mode eval
+        # keeps the flags, as every run mode does.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gold", "g.tsv", "--predictions", "p.tsv", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_config_file_and_flag_precedence(self, lang_paths, tmp_path):
         cfg = tmp_path / "run.cfg"

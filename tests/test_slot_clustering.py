@@ -156,13 +156,13 @@ def test_grouping_features_match_direct_scan():
     tags = [0, 1, 2, 3, 1, 2, 0, 1, 3]
     lexicon = WeightedLexicon.from_lemmas(["walk", "talk"])
     slots, log = group_surface_changes(
-        [APPEND_ED], corpus, tags, lexicon, window=3
+        [APPEND_ED], corpus, tags, lexicon, merge_threshold=0.3, window=3
     )
     assert log == []
     assert len(slots) == 1
     assert slots[0].lemma_forms == {"walk": "walked", "talk": "talked"}
     want = assert_matches_oracle(
-        [APPEND_ED], corpus, tags, lexicon, states=4, window=3
+        [APPEND_ED], corpus, tags, lexicon, states=4, merge_threshold=0.3, window=3
     )
     rescanned = oracle.extract_slot_features(
         corpus, tags, want[0], lexicon, window=3, states=4
@@ -191,7 +191,7 @@ def test_same_context_slots_merge():
         Replace("mo", "mi"),
     ]
     slots, log = group_surface_changes(
-        trees, corpus, tags, lexicon, window=3
+        trees, corpus, tags, lexicon, merge_threshold=0.3, window=3
     )
     # Slots 1 (ni) and 3 (mi) share a context and no lemma; slot 2 (nu)
     # shares the lemma "na" with slot 1 and a context with nobody.
@@ -200,7 +200,9 @@ def test_same_context_slots_merge():
     merged = slots[0]
     assert merged.trees == (trees[0], trees[2])
     assert merged.lemma_forms == {"na": "ni", "mo": "mi"}
-    want = assert_matches_oracle(trees, corpus, tags, lexicon, states=4, window=3)
+    want = assert_matches_oracle(
+        trees, corpus, tags, lexicon, states=4, merge_threshold=0.3, window=3
+    )
     expected = np.zeros(64)
     expected[0 * 16 + 1 * 4 + 2] = 2.0
     assert np.array_equal(want[0].features, expected)
@@ -212,7 +214,7 @@ def test_shared_lemma_blocks_merging():
     lexicon = WeightedLexicon.from_lemmas(["na"])
     trees = [Replace("na", "ni"), Replace("na", "nu")]
     slots, log = group_surface_changes(
-        trees, corpus, tags, lexicon, window=3
+        trees, corpus, tags, lexicon, merge_threshold=0.3, window=3
     )
     # Identical contexts, cosine 1.0, but both rewrite the same lemma.
     assert log == []
@@ -242,7 +244,7 @@ def test_tied_merges_take_lowest_id_pair():
     lexicon = WeightedLexicon.from_lemmas(["na", "mo", "ka"])
     trees = [Replace("na", "fa"), Replace("mo", "fe"), Replace("ka", "fo")]
     slots, log = group_surface_changes(
-        trees, corpus, tags, lexicon, window=3
+        trees, corpus, tags, lexicon, merge_threshold=0.3, window=3
     )
     # All three pairs tie at cosine 1.0: (1, 2) merges first, then the
     # survivor absorbs 3.
@@ -257,7 +259,7 @@ def test_merges_respect_lemmas_gained_earlier():
     lexicon = WeightedLexicon.from_lemmas(["na", "mo"])
     trees = [Replace("na", "aa"), Replace("mo", "bb"), Replace("mo", "cc")]
     slots, log = group_surface_changes(
-        trees, corpus, tags, lexicon, window=3
+        trees, corpus, tags, lexicon, merge_threshold=0.3, window=3
     )
     # 2 and 3 both rewrite "mo", so they can never share a slot.  After
     # 1 absorbs 2, the merged slot owns "mo" too and 3 stays out.
@@ -272,10 +274,14 @@ def test_unattested_forms_are_dropped():
     tags = [0, 1, 2]
     lexicon = WeightedLexicon.from_lemmas(["na", "mo"])
     trees = [Replace("na", "aa"), Replace("mo", "qq")]
-    slots, _ = group_surface_changes(trees, corpus, tags, lexicon, window=3)
+    slots, _ = group_surface_changes(
+        trees, corpus, tags, lexicon, merge_threshold=0.3, window=3
+    )
     assert slots[0].lemma_forms == {"na": "aa"}
     assert slots[1].lemma_forms == {}
-    want = assert_matches_oracle(trees, corpus, tags, lexicon, states=4, window=3)
+    want = assert_matches_oracle(
+        trees, corpus, tags, lexicon, states=4, merge_threshold=0.3, window=3
+    )
     assert not want[1].features.any()
 
 
@@ -284,13 +290,17 @@ def test_argument_validation():
     tags = [0, 1, 2]
     lexicon = WeightedLexicon.from_lemmas(["na"])
     with pytest.raises(ValueError, match="odd"):
-        group_surface_changes([], corpus, tags, lexicon, window=0)
+        group_surface_changes(
+            [], corpus, tags, lexicon, merge_threshold=0.3, window=0
+        )
     with pytest.raises(ValueError, match="threshold"):
         group_surface_changes(
             [], corpus, tags, lexicon, merge_threshold=1.5, window=3
         )
     with pytest.raises(ValueError, match="does not match"):
-        group_surface_changes([], corpus, [0], lexicon, window=3)
+        group_surface_changes(
+            [], corpus, [0], lexicon, merge_threshold=0.3, window=3
+        )
 
 
 @st.composite

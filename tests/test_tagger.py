@@ -54,7 +54,7 @@ def mini_corpus(tmp_path):
 def test_train_requires_two_tokens(tmp_path):
     corpus = corpus_from_text(tmp_path, "one\n")
     with pytest.raises(ValueError, match="at least 2 tokens"):
-        train_hmm(corpus, dirichlet_start(corpus, 8))
+        train_hmm(corpus, dirichlet_start(corpus, 8), 1)
 
 
 def test_degenerate_corpus_gets_exact_probabilities(tmp_path):
@@ -113,7 +113,7 @@ def test_anchor_start_picks_the_marker_words(mini_corpus):
     # Each position of "marker word we" has one context, so one symbol
     # of each position anchors a state, and each state emits the symbols
     # of its position only, in proportion to their counts.
-    start = anchor_start(mini_corpus, states=3)
+    start = anchor_start(mini_corpus, states=3, unk_threshold=2)
     assert start.symbols == ["cat", "dog", "owl", "we", "xa", "xe"]
     assert_stochastic(start)
     assert np.all(start.transitions == 1 / 3)
@@ -125,7 +125,7 @@ def test_anchor_start_picks_the_marker_words(mini_corpus):
     np.testing.assert_allclose(emitted[(4, 5)][4:6], 1 / 2, rtol=1e-12)
     # Only three distinct contexts exist, so a fourth anchor does not,
     # and asking for four states fits the same three.
-    fewer = anchor_start(mini_corpus, states=4)
+    fewer = anchor_start(mini_corpus, states=4, unk_threshold=2)
     assert fewer.states == 3
     for name in ("start", "transitions", "emissions"):
         assert np.array_equal(getattr(fewer, name), getattr(start, name))
@@ -188,7 +188,7 @@ def test_a_model_needs_sorted_distinct_symbols(tmp_path, symbols):
 
 
 def test_tag_corpus_returns_one_intp_per_token(mini_corpus):
-    uniform = anchor_start(mini_corpus, states=3)
+    uniform = anchor_start(mini_corpus, states=3, unk_threshold=2)
     trained = train_hmm(mini_corpus, uniform, 2)
     assert not np.all(trained.transitions == trained.transitions[0, 0])
     # The uniform chain is a lookup; the trained one runs the band Viterbi.
@@ -203,11 +203,11 @@ def test_tag_corpus_returns_one_intp_per_token(mini_corpus):
 @pytest.mark.parametrize("states", [0, -3])
 def test_anchor_start_needs_a_state(mini_corpus, states):
     with pytest.raises(ValueError, match="states must be >= 1"):
-        anchor_start(mini_corpus, states=states)
+        anchor_start(mini_corpus, states=states, unk_threshold=2)
 
 
 def test_em_stops_at_the_first_flat_pass(mini_corpus):
-    start = anchor_start(mini_corpus, states=3)
+    start = anchor_start(mini_corpus, states=3, unk_threshold=2)
     unfitted = train_hmm(mini_corpus, start, 0)
     assert unfitted.log_likelihoods == []
     for name in ("start", "transitions", "emissions"):
@@ -386,7 +386,7 @@ def test_write_tagged_format(tmp_path):
 def test_write_tagged_writes_the_same_bytes_for_an_array_or_a_list(
     mini_corpus, tmp_path
 ):
-    tags = tag_corpus(anchor_start(mini_corpus, states=3), mini_corpus)
+    tags = tag_corpus(anchor_start(mini_corpus, states=3, unk_threshold=2), mini_corpus)
     assert tags.max() > 0
     array, listed = tmp_path / "array.tsv", tmp_path / "list.tsv"
     for given in (tags, tags * 10):  # one- and two-digit states
@@ -562,7 +562,8 @@ def test_em_from_the_anchor_fit_on_noisy_input_matches_loop():
     corpus = noisy_corpus()
     lengths = set(np.diff([0, *corpus.sentence_boundaries]).tolist())
     assert len(lengths) >= 10
-    start = anchor_start(corpus)
+    default = Config()
+    start = anchor_start(corpus, default.hmm_states, default.unk_threshold)
     assert start.states > 1
     model = train_hmm(corpus, start, 20)
     assert_models_agree(model, oracle.train_hmm(corpus, start, 20))
@@ -744,7 +745,8 @@ def test_anchor_fit_of_each_workload_tags_as_the_oracle(name, seed):
     sentences = build_language(WORKLOADS[name], seed).sentences
     corpus = Corpus([token for sentence in sentences for token in sentence],
                     list(accumulate(map(len, sentences))))
-    model = anchor_start(corpus)
+    default = Config()
+    model = anchor_start(corpus, default.hmm_states, default.unk_threshold)
     assert tag_corpus(model, corpus).tolist() == oracle.tag_corpus(model, corpus)
 
 
