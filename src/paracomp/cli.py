@@ -16,17 +16,22 @@ from .corpus_io import load_corpus
 from .inflection import dump_rules
 from .pipeline import StageError, run_pipeline, train_tagger
 
-# Every Config field except mode is a flag; field types are strings
+# Every Config field except mode is a run flag; field types are strings
 # because config.py postpones annotations.
 _CONFIG_FLAGS = {
     field.name: field.type for field in dataclasses.fields(Config)
     if field.name != "mode"
 }
+# The fields train_tagger reads.
+_TAGGER_FLAGS = ("hmm_states", "unk_threshold", "hmm_iterations")
+# No rules-dump mode reads the baseline fields.
+_RULES_FLAGS = tuple(n for n in _CONFIG_FLAGS if not n.startswith("baseline_"))
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", help="key = value config file")
-    for name, kind in _CONFIG_FLAGS.items():
+    for name in names:
+        kind = _CONFIG_FLAGS[name]
         flag = f"--{name.replace('_', '-')}"
         if kind == "bool":
             parser.add_argument(
@@ -87,6 +92,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_tag(args: argparse.Namespace) -> int:
     from .tagger import load_model, save_model, tag_corpus, write_tagged
 
+    trains = args.config or any(getattr(args, f) is not None for f in _TAGGER_FLAGS)
+    if args.model_in and trains:
+        raise ValueError("--model-in decodes a saved model and takes no training flags")
     corpus, _ = load_corpus(args.corpus)
     if args.model_in:
         model = load_model(args.model_in)
@@ -128,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="write predictions here (TSV)")
     run.add_argument("--predictions", help="existing predictions (eval mode)")
     run.add_argument("--report", help="write the run report here")
-    _add_config_flags(run)
+    _add_config_flags(run, _CONFIG_FLAGS)
     run.set_defaults(func=_cmd_run)
 
     ev = sub.add_parser("eval", help="score predictions against a gold table")
@@ -154,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     tag.add_argument("--out", required=True, help="token<TAB>state dump")
     tag.add_argument("--model-in", help="decode with a saved model")
     tag.add_argument("--model-out", help="save the trained model (.npz)")
-    _add_config_flags(tag)
+    _add_config_flags(tag, _TAGGER_FLAGS)
     tag.set_defaults(func=_cmd_tag)
 
     rules = sub.add_parser("rules-dump", help="dump learned affix rules")
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     rules.add_argument("--lemmas", required=True)
     rules.add_argument("--gold")
     rules.add_argument("--out", required=True)
-    _add_config_flags(rules)
+    _add_config_flags(rules, _RULES_FLAGS)
     rules.set_defaults(func=_cmd_rules_dump)
 
     return parser

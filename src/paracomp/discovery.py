@@ -87,9 +87,6 @@ def find_candidates(
     for lemma in lemmas:
         need = ratio_threshold * len(lemma)
         k = int(need) + 1
-        if k > len(lemma):
-            result[lemma] = []
-            continue
         index = grams.for_k(k)
         hits: set[int] = set()
         for j in range(len(lemma) - k + 1):

@@ -177,15 +177,13 @@ def best_match_accuracy(
     if not gold:
         raise ValueError("gold table is empty")
     g = merge_syncretic_slots(gold)
-    p = merge_syncretic_slots(predictions) if predictions else {}
+    p = merge_syncretic_slots(predictions)
     gold_slots = sorted({slot for row in g.values() for slot in row})
     pred_slots = sorted({slot for row in p.values() for slot in row})
     n_gold = len(gold_slots)
     n_pred = len(pred_slots)
     if n_gold == 0:
         raise ValueError("gold table has no slots")
-    if n_pred == 0:
-        return BmaccResult(0.0, 0.0, n_gold, 0, [])
 
     pred_index = {slot: j for j, slot in enumerate(pred_slots)}
     counts = [0] * n_gold

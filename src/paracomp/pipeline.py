@@ -323,7 +323,7 @@ def build_report(result: PipelineResult, config: Config) -> str:
             f"lexicon: {seed} seed lemmas, "
             f"{len(result.lexicon) - seed} discovered"
         )
-    if result.trees:
+    if result.census is not None:
         lines.append(
             f"retained trees: {len(result.trees)} of "
             f"{len(result.census.weights)} built, "

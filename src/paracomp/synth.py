@@ -77,6 +77,8 @@ def generate_language(
 
     Every (lemma, slot) form is guaranteed to occur at least once; the
     rest of the token budget is filled with uniformly sampled cells.
+    Arguments it cannot build from raise ``ValueError``, more lemmas
+    than the rejection sampler finds stems for included.
     """
     if slots < 2:
         raise ValueError(f"need at least 2 slots, got {slots}")
@@ -140,7 +142,7 @@ def generate_language(
             form_grams |= new_form_grams
             break
         else:
-            raise RuntimeError("could not sample a stem; space exhausted")
+            raise ValueError(f"cannot sample {lemmas} stems; stem space exhausted")
 
     def sentence(lemma_index: int, slot_index: int) -> list[str]:
         form = stems[lemma_index] + suffixes[slot_index][stem_classes[lemma_index]]

@@ -276,13 +276,8 @@ def train_hmm(corpus: Corpus, init: HmmModel, iterations: int) -> HmmModel:
 
     bands = []
     for _, obs, running in _batches(corpus, symbols):
-        steps = _steps(running)
-        # A sentence's last row has beta 1 and, with no transition
-        # leaving it, a zero row in the xi sum.  The rows from ``head``
-        # on, the last block, are all last rows.
         head = obs.shape[0] - running[-1]
-        ended = [(mid, lo) for _, mid, lo, _ in steps if mid < lo]
-        bands.append((obs, running[0], head, steps, ended))
+        bands.append((obs, running[0], head, _steps(running)))
 
     # One workspace for every band and pass: the emission probabilities
     # of the band's symbols, the scaled forward and backward variables,
@@ -301,7 +296,7 @@ def train_hmm(corpus: Corpus, init: HmmModel, iterations: int) -> HmmModel:
         emit_table = np.ascontiguousarray(emissions.T)
         transitions_t = transitions.T
         ll = 0.0
-        for obs, first, head, steps, ended in bands:
+        for obs, first, head, steps in bands:
             emit, alpha, beta, weighted, scale = (buf[: obs.shape[0]] for buf in workspace)
             np.take(emit_table, obs, axis=0, out=emit, mode="clip")
 
@@ -315,10 +310,11 @@ def train_hmm(corpus: Corpus, init: HmmModel, iterations: int) -> HmmModel:
                 np.multiply(now, emit[lo:hi], out=now)
                 np.dot(now, ones, out=scale[lo:hi])
                 np.divide(now, scale[lo:hi], out=now)
-            beta[head:] = 1.0
-            for mid, lo in ended:
-                beta[mid:lo] = 1.0
-                weighted[mid:lo] = 0.0
+            # A sentence's last row has beta 1 and, with no transition
+            # leaving it, a zero row in the xi sum, which stops at
+            # ``head``, the last block; the backward steps fill the rest.
+            beta.fill(1.0)
+            weighted.fill(0.0)
             for prev, mid, lo, hi in reversed(steps):
                 step = weighted[prev:mid]
                 np.multiply(emit[lo:hi], beta[lo:hi], out=step)
@@ -420,7 +416,7 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> np.ndarray:
         emit = emit_buf[: obs.shape[0]]
         np.take(emit_table, obs, axis=0, out=emit, mode="clip")
         np.add(log_start, emit[:first], out=now[:first])
-        # Only the running sentences step, so an ended one keeps the
+        # Only the running sentences step, so a finished one keeps the
         # delta of its last step.
         for _, _, lo, hi in steps:
             for a in range(0, hi - lo, chunk):
@@ -449,8 +445,6 @@ def tag_corpus(model: HmmModel, corpus: Corpus) -> np.ndarray:
 def save_model(model: HmmModel, path: str) -> None:
     """Persist a model to an .npz file."""
     symbols = np.array(model.symbols, dtype=str)
-    if symbols.size == 0:
-        symbols = symbols.astype("<U1")
     with open(path, "wb") as handle:
         np.savez(
             handle,

@@ -307,9 +307,10 @@ class TestBestMatchAccuracy:
         assert result.macro == 1.0
         assert result.micro == 1.0
 
-    def test_empty_predictions_score_zero(self):
+    @pytest.mark.parametrize("predictions", [{}, {"a": {}}], ids=["none", "empty-row"])
+    def test_empty_predictions_score_zero(self, predictions):
         gold = {"a": {"s1": "x"}}
-        result = best_match_accuracy(gold, {})
+        result = best_match_accuracy(gold, predictions)
         assert result.macro == 0.0
         assert result.micro == 0.0
         assert result.gold_slots == 1

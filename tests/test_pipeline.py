@@ -235,6 +235,20 @@ class TestTreeModes:
         assert sorted(result.census.weights, key=str) == sorted(result.trees, key=str)
         assert "retained trees: 5 of 5 built, support cutoff 2.00\n" in result.report
 
+    @pytest.mark.parametrize("mode", ["pcs-i", "pcs-ii+iii"])
+    def test_report_names_the_cutoff_when_no_tree_is_retained(self, tmp_path, mode):
+        # Each of the three trees walk -> walked, walk -> walks and the
+        # identity has support 1, under the floor of 2.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("walk walked\nwalks\n", encoding="utf-8")
+        lexicon = tmp_path / "lemmas.txt"
+        lexicon.write_text("walk\n", encoding="utf-8")
+        result = run_pipeline(
+            Config(mode=mode), corpus_path=str(corpus), lexicon_path=str(lexicon)
+        )
+        assert result.trees == []
+        assert "retained trees: 0 of 3 built, support cutoff 2.00\n" in result.report
+
     def test_tree_mode_scoring(self, lang_paths, tmp_path):
         out = tmp_path / "pred.tsv"
         result = run_pipeline(
@@ -730,12 +744,12 @@ class TestCli:
 
     def test_tag_command_trains_the_pipeline_tagger(self, lang_paths, tmp_path):
         out = tmp_path / "tags.tsv"
-        flags = ["--hmm-states", "4", "--seed", "2"]
+        flags = ["--hmm-states", "4"]
         assert main(
             ["tag", "--corpus", lang_paths["corpus"], "--out", str(out), *flags]
         ) == 0
         result = run_pipeline(
-            Config(mode="pcs-iii", hmm_states=4, seed=2),
+            Config(mode="pcs-iii", hmm_states=4),
             corpus_path=lang_paths["corpus"],
             lexicon_path=lang_paths["lemmas"],
         )
@@ -825,6 +839,57 @@ class TestCli:
         config = _config_from_args(build_parser().parse_args(argv), mode="lb")
         for name, value in expected.items():
             assert getattr(config, name) == value != getattr(Config(), name)
+
+    def test_each_command_takes_the_config_flags_it_reads(self):
+        # --mode chooses a mode rather than tuning it; synth's --seed is
+        # the language's own.
+        fields = {field.name for field in dataclasses.fields(Config)} - {"mode"}
+        commands = next(
+            action.choices for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        counts = {
+            name: len(fields & {action.dest for action in commands[name]._actions})
+            for name in ("run", "eval", "tag", "rules-dump")
+        }
+        assert counts == {"run": 14, "eval": 0, "tag": 3, "rules-dump": 12}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tag", "--corpus", "c.txt", "--out", "t.tsv", "--merge-threshold", "0.4"],
+            ["rules-dump", "--lemmas", "l.txt", "--out", "r.tsv", "--baseline-slots", "3"],
+        ],
+        ids=["tag", "rules-dump"],
+    )
+    def test_flags_a_command_never_reads_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", [["--hmm-states", "3"], ["--config", "x.cfg"]]
+    )
+    def test_a_saved_model_takes_no_training_flags(self, extra, capsys):
+        code = main(
+            [
+                "tag", "--corpus", "c.txt", "--out", "t.tsv",
+                "--model-in", "m.npz", *extra,
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --model-in")
+
+    def test_synth_reports_a_stem_space_it_cannot_fill(self, tmp_path, capsys):
+        code = main(
+            [
+                "synth", "--lemmas", "2500", "--classes", "2", "--slots", "2",
+                "--tokens", "20000", "--out-dir", str(tmp_path / "lang"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot sample 2500 stems")
 
     def test_bad_choices_exit_two(self):
         with pytest.raises(SystemExit) as info:

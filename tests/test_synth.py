@@ -90,6 +90,8 @@ def test_validation_errors():
         generate_language(slots=3, lemmas=3, classes=2, tokens=300)
     with pytest.raises(ValueError, match="budget"):
         generate_language(slots=3, lemmas=8, classes=2, tokens=10)
+    with pytest.raises(ValueError, match="cannot sample 2500 stems"):
+        generate_language(slots=2, lemmas=2500, classes=2, tokens=20000)
 
 
 def test_written_files_round_trip(tmp_path):

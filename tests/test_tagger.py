@@ -294,6 +294,21 @@ def test_model_save_load_round_trip(mini_corpus, tmp_path):
     )
 
 
+def test_a_model_without_symbols_round_trips(mini_corpus, tmp_path):
+    # Every type falls below the count floor, so the UNK column is the
+    # model's only column.
+    model = anchor_start(mini_corpus, states=2, unk_threshold=len(mini_corpus) + 1)
+    assert model.symbols == []
+    path = tmp_path / "model.npz"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert loaded.symbols == []
+    assert np.array_equal(loaded.emissions, model.emissions)
+    assert np.array_equal(
+        tag_corpus(loaded, mini_corpus), tag_corpus(model, mini_corpus)
+    )
+
+
 def test_load_rejects_unknown_version(mini_corpus, tmp_path):
     model = train_hmm(mini_corpus, dirichlet_start(mini_corpus, 2, 0), 2)
     path = tmp_path / "model.npz"
