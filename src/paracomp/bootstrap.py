@@ -62,13 +62,21 @@ def _sources(vocab, trees) -> dict[EditTree, list[str]]:
         bucket = buckets[literal]
         if (isinstance(back, Match) and isinstance(back.left, Replace)
                 and isinstance(back.right, Replace)):
-            i, j, (head_old, head), (tail_old, tail) = back
-            found[tree] = [
-                word for out in bucket
-                if len(out) - j >= i and out[:i] == head_old
-                and out[len(out) - j:] == tail_old
-                and (word := head + out[i:len(out) - j] + tail) in vocab
-            ]
+            # The bucket's words end in ``literal``, which is the inverse
+            # tree's tail literal, and ``j == len(literal)``; an inverse
+            # whose head literal is empty (``i == 0``) has no head to check.
+            i, j, (head_old, head), (_, tail) = back
+            if i:
+                found[tree] = [
+                    word for out in bucket
+                    if len(out) - j >= i and out[:i] == head_old
+                    and (word := head + out[i:len(out) - j] + tail) in vocab
+                ]
+            else:
+                found[tree] = [
+                    word for out in bucket
+                    if (word := head + out[:len(out) - j] + tail) in vocab
+                ]
         else:
             found[tree] = [
                 word for out in bucket

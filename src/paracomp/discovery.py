@@ -5,11 +5,15 @@ covers more than ``ratio_threshold`` of the lemma.  Candidates come from
 an exact k-gram index over the vocabulary rather than a pairwise scan.
 Each (lemma, candidate) pair yields an edit tree; trees are kept when
 their weighted support across the lexicon clears a size-dependent cutoff.
+When one string of a pair contains the other, as a stem inside its form,
+the tree is fixed by the strings around the shorter one's first
+occurrence in the longer, so the census builds each distinct tree of
+such pairs once and looks the rest up by those strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .edit_tree import EditTree, construct, to_sexpr
 from .lexicon import WeightedLexicon
@@ -100,11 +104,33 @@ class TreeCensus:
     """Bookkeeping from tree extraction.
 
     ``weights`` maps every constructed tree to its weighted support;
-    ``cutoff`` is the support a tree needed to be kept.
+    ``cutoff`` is the support a tree needed to be kept.  ``built`` maps
+    the ``_flanks`` of each contained pair counted so far to its tree.
     """
 
     weights: dict[EditTree, float]
     cutoff: float = 0.0
+    built: dict[tuple[str, str, str, str], EditTree] = field(default_factory=dict)
+
+
+def _flanks(source: str, target: str) -> tuple[str, str, str, str] | None:
+    """The strings around the shared part, when one string contains the other.
+
+    The shared part is the shorter string at the first offset
+    ``str.find`` gives in the longer, the shortcut ``construct`` takes,
+    so ``construct(source, target)`` depends only on the returned
+    (source before, target before, source after, target after).  None
+    when neither string contains the other or one is empty.
+    """
+    if not (source and target):
+        return None
+    j = target.find(source)
+    if j >= 0:
+        return "", target[:j], "", target[j + len(source):]
+    i = source.find(target)
+    if i >= 0:
+        return source[:i], "", source[i + len(target):], ""
+    return None
 
 
 def retain_frequent_trees(
@@ -122,13 +148,25 @@ def retain_frequent_trees(
     lemmas after the ones it has.  The cutoff is always taken from the
     whole ``lexicon``, and is stored as ``census.cutoff``.  Kept trees
     are ordered by descending support, then by serialized form.
+
+    A pair where one string contains the other takes its tree from
+    ``census.built`` by its ``_flanks`` and calls ``construct`` only for
+    flanks not seen before, so a census builds each such tree once.
     """
     if census is None:
         census = TreeCensus({})
     weights = census.weights
+    built = census.built
     for entry in lexicon:
-        for word in candidates.get(entry.lemma, ()):
-            tree = construct(entry.lemma, word)
+        lemma = entry.lemma
+        for word in candidates.get(lemma, ()):
+            flanks = _flanks(lemma, word)
+            # A pair without flanks looks up None, which is never a key.
+            tree = built.get(flanks)
+            if tree is None:
+                tree = construct(lemma, word)
+                if flanks is not None:
+                    built[flanks] = tree
             weights[tree] = weights.get(tree, 0.0) + entry.weight
     census.cutoff = cutoff = min_tree_support(lexicon.effective_size(), support_factor)
     kept = [tree for tree, weight in weights.items() if weight >= cutoff]

@@ -329,6 +329,16 @@ def build_report(result: PipelineResult, config: Config) -> str:
             f"{len(result.census.weights)} built, "
             f"support cutoff {result.census.cutoff:.2f}"
         )
+        near = result.census.cutoff / 2
+        dropped = [
+            weight for weight in result.census.weights.values()
+            if weight < result.census.cutoff
+        ]
+        lines.append(
+            f"dropped trees near the cutoff: "
+            f"{sum(weight >= near for weight in dropped)} of {len(dropped)} "
+            f"(support >= {near:.2f})"
+        )
     lines.append(f"predicted slots: {result.slot_count}")
     if result.windowed_tokens is not None:
         lines.append(

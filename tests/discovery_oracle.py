@@ -1,14 +1,21 @@
-"""Brute-force candidate search: the reference for the k-gram index.
+"""Brute-force discovery: the reference for the k-gram index and the census.
 
-This is the scan ``paracomp.discovery.find_candidates`` ran before it
-became an index lookup, kept verbatim (minus the process pool, which
-split the lemmas into chunks and merged them back in lexicon order) so
-the tests can check the index against it.  Every (lemma, word) pair is
-compared with a dynamic-programming longest common substring.
+``find_candidates`` is the scan ``paracomp.discovery.find_candidates``
+ran before it became an index lookup, kept verbatim (minus the process
+pool, which split the lemmas into chunks and merged them back in
+lexicon order) so the tests can check the index against it.  Every
+(lemma, word) pair is compared with a dynamic-programming longest
+common substring.
+
+``retain_frequent_trees`` is the census loop as it ran before contained
+pairs were looked up by their flanks: it calls ``construct`` for every
+candidate pair.
 """
 
 from __future__ import annotations
 
+from paracomp.discovery import TreeCensus, min_tree_support
+from paracomp.edit_tree import EditTree, construct, to_sexpr
 from paracomp.lexicon import WeightedLexicon
 
 
@@ -75,3 +82,23 @@ def find_candidates(
     for lemma in lemmas:
         result[lemma] = _candidates_for(lemma, words, charsets, ratio_threshold)
     return result
+
+
+def retain_frequent_trees(
+    candidates: dict[str, list[str]],
+    lexicon: WeightedLexicon,
+    support_factor: float,
+    census: TreeCensus | None = None,
+) -> tuple[list[EditTree], TreeCensus]:
+    """Build trees from all (lemma, candidate) pairs and keep the frequent ones."""
+    if census is None:
+        census = TreeCensus({})
+    weights = census.weights
+    for entry in lexicon:
+        for word in candidates.get(entry.lemma, ()):
+            tree = construct(entry.lemma, word)
+            weights[tree] = weights.get(tree, 0.0) + entry.weight
+    census.cutoff = cutoff = min_tree_support(lexicon.effective_size(), support_factor)
+    kept = [tree for tree, weight in weights.items() if weight >= cutoff]
+    kept.sort(key=lambda tree: (-weights[tree], to_sexpr(tree)))
+    return kept, census

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bootstrap_oracle
+import discovery_oracle
 from paracomp.bootstrap import (
     _sources,
     bootstrap,
@@ -14,7 +15,15 @@ from paracomp.bootstrap import (
 from paracomp.config import Config
 from paracomp.corpus_io import Corpus, Vocabulary
 from paracomp.discovery import min_tree_support
-from paracomp.edit_tree import IDENTITY, Match, Replace, apply, construct, to_sexpr
+from paracomp.edit_tree import (
+    IDENTITY,
+    Match,
+    Replace,
+    apply,
+    construct,
+    inverse,
+    to_sexpr,
+)
 from paracomp.lexicon import LexiconEntry, WeightedLexicon
 from paracomp.synth import generate_language
 
@@ -271,6 +280,34 @@ def test_sources_of_hand_built_trees(tree):
     assert _sources(vocab, [tree]) == sources_by_apply(vocab, [tree])
 
 
+@pytest.mark.parametrize("tree", [
+    # Suffix only: the inverse has no head literal to check.
+    construct("walk", "walked"),
+    # Prefix and suffix: the inverse checks "un" and strips "ed".
+    construct("walk", "unwalked"),
+    # A suffix deletion: the last literal is empty, so the bucket is
+    # the whole vocabulary.
+    construct("walked", "walk"),
+    # Deletes a prefix, adds nothing at the end.
+    construct("unwalk", "walk"),
+])
+def test_sources_of_affix_trees(tree):
+    # Words shorter than "ed" or "un"; "uned", which ends in "ed" and
+    # starts with "un" but holds no stem between them; and "rewalked",
+    # which holds "walk" between the wrong prefix and "ed".
+    vocab = vocab_of(
+        "walk", "walked", "unwalk", "unwalked", "talked", "untalked", "talk",
+        "d", "e", "u", "ed", "un", "uned", "unt", "alked", "", "sed", "s",
+        "rewalked", "rewalk",
+    )
+    assert (isinstance(inverse(tree), Match)
+            and isinstance(inverse(tree).left, Replace)
+            and isinstance(inverse(tree).right, Replace))
+    found = _sources(vocab, [tree])
+    assert found == sources_by_apply(vocab, [tree])
+    assert found[tree]
+
+
 def test_duplicate_trees_count_twice():
     # Two copies of +ed and one +s make 3 hits: not above the cutoff of 3
     # without the duplicate counting, above it with a fourth copy.
@@ -326,11 +363,19 @@ def matches_oracle(vocab, lexicon, rounds, settings_):
     return got
 
 
-def _sparse_seed_language(seed):
-    """A language the size of the sparse-seed benchmark: a quarter seeded."""
+def _sparse_seed_language(seed, mirrored=False):
+    """A language the size of the sparse-seed benchmark: a quarter seeded.
+
+    ``mirrored`` spells every string backwards, which makes the language
+    prefixing.
+    """
     lang = generate_language(slots=6, lemmas=200, classes=3, tokens=5000, seed=seed)
-    vocab = vocab_of(*(tok for sentence in lang.sentences for tok in sentence))
-    return vocab, WeightedLexicon.from_lemmas(lang.lexicon[::4])
+    words = [tok for sentence in lang.sentences for tok in sentence]
+    lemmas = lang.lexicon[::4]
+    if mirrored:
+        words = [word[::-1] for word in words]
+        lemmas = [lemma[::-1] for lemma in lemmas]
+    return vocab_of(*words), WeightedLexicon.from_lemmas(lemmas)
 
 
 def _default_settings():
@@ -354,6 +399,38 @@ def test_bootstrap_matches_oracle_on_sparse_seed_language(seed):
     ]
     # Round 1 finds every other lemma of the language.
     assert grown[0] < grown[1] == grown[3]
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_census_carried_across_rounds_matches_census_oracle(monkeypatch, mirrored):
+    vocab, lexicon = _sparse_seed_language(7, mirrored)
+    settings_ = _default_settings()
+    got = bootstrap(vocab, lexicon, rounds=2, **settings_)
+    monkeypatch.setattr(
+        importlib.import_module("paracomp.bootstrap"),
+        "retain_frequent_trees",
+        discovery_oracle.retain_frequent_trees,
+    )
+    want = bootstrap(vocab, lexicon, rounds=2, **settings_)
+    # Round 1 found lemmas, so round 2 added pairs to the carried census.
+    assert len(got.lexicon) > len(lexicon)
+    assert got.lexicon.entries == want.lexicon.entries
+    assert got.trees == want.trees
+    assert got.census.cutoff == want.census.cutoff
+    assert census_bits(got.census) == census_bits(want.census)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_bootstrap_builds_each_distinct_tree_once(monkeypatch, mirrored):
+    # Every candidate pair of a generated language holds its lemma, so
+    # construct runs once per distinct tree.  The calls go through
+    # paracomp.discovery.construct, which the benchmark's tracer counts.
+    vocab, lexicon = _sparse_seed_language(7, mirrored)
+    pairs = counting(monkeypatch, "paracomp.discovery", "_flanks")
+    built = counting(monkeypatch, "paracomp.discovery", "construct")
+    result = bootstrap(vocab, lexicon, rounds=2, **_default_settings())
+    assert all(lemma in word for lemma, word in pairs)
+    assert len(built) == len(result.census.weights) < len(pairs)
 
 
 def test_census_cutoff_is_the_cutoff_of_the_returned_lexicon():

@@ -178,3 +178,103 @@ def test_retained_trees_ordered_by_weight_then_serialization():
     assert trees == [IDENTITY, APPEND_ED]
     ident_first = to_sexpr(trees[0]) < to_sexpr(trees[1])
     assert ident_first  # also holds lexicographically here
+
+
+def census_bits(census):
+    """Census weights as (tree, float.hex), in insertion order."""
+    return [(tree, weight.hex()) for tree, weight in census.weights.items()]
+
+
+def assert_census_matches_oracle(candidates, lexicon, factor, carried=None):
+    """Run the census and its oracle and require the same results.
+
+    ``carried``, if given, is the (census, oracle census) pair an
+    earlier call returned, which this call adds to; returns the pair.
+    """
+    got_census, want_census = carried or (None, None)
+    got, census = retain_frequent_trees(candidates, lexicon, factor, got_census)
+    want, expected = oracle.retain_frequent_trees(
+        candidates, lexicon, factor, want_census
+    )
+    assert got == want
+    assert census.cutoff == expected.cutoff
+    assert census_bits(census) == census_bits(expected)
+    return census, expected
+
+
+def mirror(lexicon, vocab):
+    """The prefixing language whose strings are these spelled backwards."""
+    return (
+        WeightedLexicon.from_lemmas([lemma[::-1] for lemma in lexicon.lemmas()]),
+        vocab_of(*(word[::-1] for word in vocab.types)),
+    )
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("ratio", [0.3, 0.5, 0.75])
+def test_census_matches_oracle_on_generated_languages(language, mirrored, ratio):
+    lexicon, vocab = mirror(*language) if mirrored else language
+    candidates = find_candidates(lexicon, vocab, ratio)
+    assert_census_matches_oracle(candidates, lexicon, 0.05)
+
+
+#: Hand-picked candidate lists: each lemma's words, in the order counted.
+CANDIDATE_CASES = {
+    "word inside the lemma": {
+        "walked": ["walk", "alk", "wal", "ked", "e", "walked"],
+        "talked": ["talk", "alk", "tal", "ked"],
+    },
+    "mostly no containment": {
+        "sing": ["sang", "sung", "snig", "gins", "singe"],
+        "ring": ["rang", "rung", "rings"],
+    },
+    "lemma twice in the word": {
+        "ab": ["abab", "xabab", "ababy", "bab", "aab"],
+        "abab": ["ab", "ba", "bab", "ababab"],
+        "ba": ["baba", "bba", "abab"],
+        # "b" first occurs in "abb" after "a", where "ab" last occurs in
+        # "abab": flanks taken at the last offset would share a key.
+        "b": ["abb", "bb"],
+    },
+    "non-ascii": {
+        "żółw": ["żółwie", "żółwia", "nażółwi", "ółw", "żółwiów", "żołw"],
+        "straße": ["straßen", "strasse", "traß", "hauptstraße"],
+        "ü": ["über", "müde", "ü", "üü"],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
+def test_census_matches_oracle_on_hand_picked_pairs(case):
+    candidates = CANDIDATE_CASES[case]
+    lemmas = list(candidates)
+    # Decayed weights that are not powers of two make the sums' float
+    # bits depend on the order in which they are added.
+    lexicon = WeightedLexicon.from_lemmas(lemmas[:1]).add_discovered(
+        lemmas[1:], iteration=1, decay=0.7
+    )
+    for factor in (0.0, 0.5, 2.0):
+        assert_census_matches_oracle(candidates, lexicon, factor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # Two letters make lemmas that occur in the words, often twice.
+    lemmas=st.lists(
+        st.text(alphabet="aé", min_size=1, max_size=4),
+        min_size=1, max_size=8, unique=True,
+    ),
+    words=st.lists(st.text(alphabet="aé", max_size=7), max_size=20),
+    seeds=st.integers(1, 8),
+    factor=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_census_matches_oracle_property(lemmas, words, seeds, factor):
+    # Counted as bootstrap counts them: the seed lemmas' pairs first,
+    # then the discovered lemmas' pairs into the carried census.
+    candidates = {lemma: words for lemma in lemmas}
+    seeded = WeightedLexicon.from_lemmas(lemmas[:seeds])
+    grown = seeded.add_discovered(lemmas[seeds:], iteration=1, decay=0.7)
+    carried = assert_census_matches_oracle(candidates, seeded, factor)
+    assert_census_matches_oracle(
+        {lemma: words for lemma in lemmas[seeds:]}, grown, factor, carried
+    )

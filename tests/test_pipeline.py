@@ -16,7 +16,9 @@ from paracomp import tagger
 from paracomp.cli import _config_from_args, build_parser, main
 from paracomp.config import Config, build_config, parse_config_file
 from paracomp.corpus_io import read_predictions
-from paracomp.pipeline import StageError, run_pipeline
+from paracomp.discovery import TreeCensus
+from paracomp.edit_tree import construct
+from paracomp.pipeline import PipelineResult, StageError, build_report, run_pipeline
 from paracomp.synth import generate_language
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -234,6 +236,10 @@ class TestTreeModes:
         # Every tree built clears the support floor of 2.
         assert sorted(result.census.weights, key=str) == sorted(result.trees, key=str)
         assert "retained trees: 5 of 5 built, support cutoff 2.00\n" in result.report
+        assert (
+            "dropped trees near the cutoff: 0 of 0 (support >= 1.00)\n"
+            in result.report
+        )
 
     @pytest.mark.parametrize("mode", ["pcs-i", "pcs-ii+iii"])
     def test_report_names_the_cutoff_when_no_tree_is_retained(self, tmp_path, mode):
@@ -248,6 +254,21 @@ class TestTreeModes:
         )
         assert result.trees == []
         assert "retained trees: 0 of 3 built, support cutoff 2.00\n" in result.report
+        # Support 1 is half the cutoff, which counts as near.
+        assert (
+            "dropped trees near the cutoff: 3 of 3 (support >= 1.00)\n"
+            in result.report
+        )
+
+    def test_report_counts_dropped_trees_near_the_cutoff(self):
+        trees = [construct("walk", word) for word in ("walked", "walks", "walking")]
+        census = TreeCensus(dict(zip(trees, [5.0, 2.0, 1.75])), cutoff=4.0)
+        result = PipelineResult("pcs-i", {}, 1, [], trees=trees[:1], census=census)
+        report = build_report(result, Config(mode="pcs-i"))
+        assert (
+            "retained trees: 1 of 3 built, support cutoff 4.00\n"
+            "dropped trees near the cutoff: 1 of 2 (support >= 2.00)\n"
+        ) in report
 
     def test_tree_mode_scoring(self, lang_paths, tmp_path):
         out = tmp_path / "pred.tsv"
