@@ -63,20 +63,14 @@ def _sources(vocab, trees) -> dict[EditTree, list[str]]:
         if (isinstance(back, Match) and isinstance(back.left, Replace)
                 and isinstance(back.right, Replace)):
             # The bucket's words end in ``literal``, which is the inverse
-            # tree's tail literal, and ``j == len(literal)``; an inverse
-            # whose head literal is empty (``i == 0``) has no head to check.
+            # tree's tail literal, and ``j == len(literal)``, so only the
+            # head is checked.
             i, j, (head_old, head), (_, tail) = back
-            if i:
-                found[tree] = [
-                    word for out in bucket
-                    if len(out) - j >= i and out[:i] == head_old
-                    and (word := head + out[i:len(out) - j] + tail) in vocab
-                ]
-            else:
-                found[tree] = [
-                    word for out in bucket
-                    if (word := head + out[:len(out) - j] + tail) in vocab
-                ]
+            found[tree] = [
+                word for out in bucket
+                if len(out) - j >= i and out[:i] == head_old
+                and (word := head + out[i:len(out) - j] + tail) in vocab
+            ]
         else:
             found[tree] = [
                 word for out in bucket

@@ -7,15 +7,16 @@ Each (lemma, candidate) pair yields an edit tree; trees are kept when
 their weighted support across the lexicon clears a size-dependent cutoff.
 When one string of a pair contains the other, as a stem inside its form,
 the tree is fixed by the strings around the shorter one's first
-occurrence in the longer, so the census builds each distinct tree of
-such pairs once and looks the rest up by those strings.
+occurrence in the longer (``contained_flanks``), so a census call builds
+each distinct tree of such pairs once and looks the rest up by those
+strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .edit_tree import EditTree, construct, to_sexpr
+from .edit_tree import EditTree, construct, contained_flanks, to_sexpr
 from .lexicon import WeightedLexicon
 
 
@@ -104,33 +105,11 @@ class TreeCensus:
     """Bookkeeping from tree extraction.
 
     ``weights`` maps every constructed tree to its weighted support;
-    ``cutoff`` is the support a tree needed to be kept.  ``built`` maps
-    the ``_flanks`` of each contained pair counted so far to its tree.
+    ``cutoff`` is the support a tree needed to be kept.
     """
 
     weights: dict[EditTree, float]
     cutoff: float = 0.0
-    built: dict[tuple[str, str, str, str], EditTree] = field(default_factory=dict)
-
-
-def _flanks(source: str, target: str) -> tuple[str, str, str, str] | None:
-    """The strings around the shared part, when one string contains the other.
-
-    The shared part is the shorter string at the first offset
-    ``str.find`` gives in the longer, the shortcut ``construct`` takes,
-    so ``construct(source, target)`` depends only on the returned
-    (source before, target before, source after, target after).  None
-    when neither string contains the other or one is empty.
-    """
-    if not (source and target):
-        return None
-    j = target.find(source)
-    if j >= 0:
-        return "", target[:j], "", target[j + len(source):]
-    i = source.find(target)
-    if i >= 0:
-        return source[:i], "", source[i + len(target):], ""
-    return None
 
 
 def retain_frequent_trees(
@@ -149,18 +128,18 @@ def retain_frequent_trees(
     whole ``lexicon``, and is stored as ``census.cutoff``.  Kept trees
     are ordered by descending support, then by serialized form.
 
-    A pair where one string contains the other takes its tree from
-    ``census.built`` by its ``_flanks`` and calls ``construct`` only for
-    flanks not seen before, so a census builds each such tree once.
+    A pair where one string contains the other calls ``construct`` only
+    for ``contained_flanks`` not seen before in this call, so the call
+    builds each such tree once.
     """
     if census is None:
         census = TreeCensus({})
     weights = census.weights
-    built = census.built
+    built: dict[tuple[str, str, str, str], EditTree] = {}
     for entry in lexicon:
         lemma = entry.lemma
         for word in candidates.get(lemma, ()):
-            flanks = _flanks(lemma, word)
+            flanks = contained_flanks(lemma, word)
             # A pair without flanks looks up None, which is never a key.
             tree = built.get(flanks)
             if tree is None:

@@ -93,23 +93,37 @@ def longest_common_substring(x: str, y: str) -> tuple[int, int, int]:
     return best
 
 
-def construct(source: str, target: str) -> EditTree:
-    """Build the edit tree that rewrites ``source`` into ``target``."""
-    # An empty side shares nothing, and most flanks of a suffixing pair
-    # are empty, so those skip the search.  When one side contains the
-    # other, the longest common substring is the shorter side at its
-    # first occurrence in the longer, as the search finds it, so one
-    # ``str.find`` gives the tree.
+def contained_flanks(source: str, target: str) -> tuple[str, str, str, str] | None:
+    """The strings around the shared part, when one side contains the other.
+
+    The longest common substring is then the shorter side at its first
+    occurrence in the longer, as the search finds it, so one
+    ``str.find`` places it.  Returns (source before, target before,
+    source after, target after), which fix ``construct``'s tree; None
+    when neither side contains the other or one is empty.
+    """
     if source and target:
         j = target.find(source)
         if j >= 0:
-            return Match(0, 0, Replace("", target[:j]),
-                         Replace("", target[j + len(source):]))
+            return "", target[:j], "", target[j + len(source):]
         i = source.find(target)
         if i >= 0:
-            return Match(i, len(source) - i - len(target),
-                         Replace(source[:i], ""),
-                         Replace(source[i + len(target):], ""))
+            return source[:i], "", source[i + len(target):], ""
+    return None
+
+
+def construct(source: str, target: str) -> EditTree:
+    """Build the edit tree that rewrites ``source`` into ``target``."""
+    # An empty side shares nothing, and most flanks of a suffixing pair
+    # are empty, so those skip the search.  So does a pair where one side
+    # contains the other.
+    if source and target:
+        flanks = contained_flanks(source, target)
+        if flanks is not None:
+            source_before, target_before, source_after, target_after = flanks
+            return Match(len(source_before), len(source_after),
+                         Replace(source_before, target_before),
+                         Replace(source_after, target_after))
         length, sx, sy = longest_common_substring(source, target)
         if length:
             return Match(

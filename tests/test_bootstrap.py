@@ -421,16 +421,33 @@ def test_census_carried_across_rounds_matches_census_oracle(monkeypatch, mirrore
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
-def test_bootstrap_builds_each_distinct_tree_once(monkeypatch, mirrored):
+def test_each_census_call_builds_each_distinct_tree_once(monkeypatch, mirrored):
     # Every candidate pair of a generated language holds its lemma, so
-    # construct runs once per distinct tree.  The calls go through
-    # paracomp.discovery.construct, which the benchmark's tracer counts.
+    # each retain_frequent_trees call runs construct once per distinct
+    # tree of its pairs.  The calls go through paracomp.discovery.construct,
+    # which the benchmark's tracer counts.
     vocab, lexicon = _sparse_seed_language(7, mirrored)
-    pairs = counting(monkeypatch, "paracomp.discovery", "_flanks")
+    pairs = counting(monkeypatch, "paracomp.discovery", "contained_flanks")
     built = counting(monkeypatch, "paracomp.discovery", "construct")
+    module = importlib.import_module("paracomp.bootstrap")
+    retain = module.retain_frequent_trees
+    calls = []
+
+    def census_call(*args):
+        seen = len(pairs), len(built)
+        result = retain(*args)
+        calls.append((pairs[seen[0]:], built[seen[1]:]))
+        return result
+
+    monkeypatch.setattr(module, "retain_frequent_trees", census_call)
     result = bootstrap(vocab, lexicon, rounds=2, **_default_settings())
-    assert all(lemma in word for lemma, word in pairs)
-    assert len(built) == len(result.census.weights) < len(pairs)
+    # Round 1 found lemmas, so round 2 counted their pairs.
+    assert len(calls) == 2
+    for call_pairs, call_built in calls:
+        assert all(lemma in word for lemma, word in call_pairs)
+        trees = {construct(lemma, word) for lemma, word in call_pairs}
+        assert len(call_built) == len(trees) < len(call_pairs)
+    assert len(built) <= 2 * len(result.census.weights)
 
 
 def test_census_cutoff_is_the_cutoff_of_the_returned_lexicon():
